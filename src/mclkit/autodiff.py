@@ -24,6 +24,10 @@ EPS_PROB = 1e-12
 # cheap at desk scale and catch divergence at the op that produced it.
 FINITE_CHECKS = True
 
+# Leaf ops of tensors that need no gradient: ``as_tensor`` constants and the
+# training batches.
+_NO_GRAD_OPS = frozenset({"const", "input"})
+
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if FINITE_CHECKS and not np.all(np.isfinite(arr)):
@@ -105,6 +109,11 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
+
+    @property
+    def requires_grad(self) -> bool:
+        """False for constant and input-batch leaves, whose gradient nobody reads."""
+        return self.op not in _NO_GRAD_OPS
 
     def backward(self, seed=1.0):
         backward(self, seed=seed)
@@ -285,6 +294,12 @@ def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
     """2-D convolution, NCHW layout, stride 1 and zero 'same' padding only.
 
     ``x`` is [B, C, H, W]; ``w`` is [F, C, kh, kw] with odd kernel extents.
+    Computed as im2col + one GEMM (Chellapilla et al. 2006): the input is
+    padded once into an NHWC buffer whose kh*kw shifted windows form the
+    [B*H*W, kh*kw*C] patch matrix. The op keeps the padded input, not the
+    patch matrix, and backward rebuilds the matrix from it. An input that
+    needs no gradient (a constant or input batch) is not recorded as a
+    parent, and no input gradient is computed for it.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride != 1:
@@ -306,52 +321,74 @@ def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
         raise ConfigurationError("conv2d bias must have one entry per filter")
 
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((bsz, f, h, wd))
-    for u in range(kh):
-        for v in range(kw):
-            patch = xp[:, :, u : u + h, v : v + wd]
-            out += np.tensordot(patch, w.data[:, :, u, v], axes=([1], [1])).transpose(0, 3, 1, 2)
+    xp = np.zeros((bsz, h + 2 * ph, wd + 2 * pw, cin))
+    xp[:, ph : ph + h, pw : pw + wd] = x.data.transpose(0, 2, 3, 1)
+    wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, f)
+    out = _im2col(xp, kh, kw) @ wmat
     if bt is not None:
-        out += bt.data[None, :, None, None]
+        out += bt.data
+    out = out.reshape(bsz, h, wd, f).transpose(0, 3, 1, 2)
 
-    parents = (x, w) if bt is None else (x, w, bt)
+    need_gx = x.requires_grad
+    parents = (w,) if bt is None else (w, bt)
+    if need_gx:
+        parents = (x,) + parents
 
     def back(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for u in range(kh):
-            for v in range(kw):
-                patch = xp[:, :, u : u + h, v : v + wd]
-                gw[:, :, u, v] = np.tensordot(g, patch, axes=([0, 2, 3], [0, 2, 3]))
-                gxp[:, :, u : u + h, v : v + wd] += np.tensordot(
-                    g, w.data[:, :, u, v], axes=([1], [0])
-                ).transpose(0, 3, 1, 2)
-        gx = gxp[:, :, ph : ph + h, pw : pw + wd]
-        if bt is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        g2 = g.transpose(0, 2, 3, 1).reshape(-1, f)
+        gw = _im2col(xp, kh, kw).T @ g2
+        grads = [gw.reshape(kh, kw, cin, f).transpose(3, 2, 0, 1)]
+        if bt is not None:
+            grads.append(g2.sum(axis=0))
+        if need_gx:
+            gcols = (g2 @ wmat.T).reshape(bsz, h, wd, kh, kw, cin)
+            gxp = np.zeros_like(xp)
+            for u in range(kh):
+                for v in range(kw):
+                    gxp[:, u : u + h, v : v + wd] += gcols[:, :, :, u, v]
+            grads.insert(0, gxp[:, ph : ph + h, pw : pw + wd].transpose(0, 3, 1, 2))
+        return tuple(grads)
 
     return _make(out, parents, "conv2d", back)
 
 
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Patch matrix [B*h*w, kh*kw*C] of a padded NHWC buffer, (u, v, c) columns.
+
+    One copy of the kh*kw shifted windows, each row made of contiguous
+    channel runs; a 1x1 kernel needs no copy at all.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * xp.shape[3])
+
+
 def maxpool2x2(x) -> Tensor:
-    """2x2 max pooling with stride 2; ties route the gradient to the first max."""
+    """2x2 max pooling with stride 2; ties route the gradient to the first max.
+
+    The forward is an elementwise maximum of the four stride-2 slices. The
+    backward gives each window's gradient to the first of its slices, in the
+    order (0,0), (0,1), (1,0), (1,1), that holds the window's maximum.
+    """
     x = as_tensor(x)
     if x.data.ndim != 4:
         raise ConfigurationError("maxpool2x2 expects a 4-D input")
-    bsz, c, h, w = x.data.shape
+    _, _, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ConfigurationError("maxpool2x2 requires even spatial extents")
-    h2, w2 = h // 2, w // 2
-    windows = x.data.reshape(bsz, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, h2, w2, 4)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    xd = x.data
+    out = np.maximum(
+        np.maximum(xd[:, :, 0::2, 0::2], xd[:, :, 0::2, 1::2]),
+        np.maximum(xd[:, :, 1::2, 0::2], xd[:, :, 1::2, 1::2]),
+    )
 
     def back(g):
-        gwin = np.zeros_like(windows)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = gwin.reshape(bsz, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(bsz, c, h, w)
+        gx = np.zeros_like(xd)
+        free = np.ones(out.shape, dtype=bool)
+        for i, j in ((0, 0), (0, 1), (1, 0)):
+            hit = free & (xd[:, :, i::2, j::2] == out)
+            gx[:, :, i::2, j::2] = np.where(hit, g, 0.0)
+            free &= ~hit
+        gx[:, :, 1::2, 1::2] = np.where(free, g, 0.0)
         return (gx,)
 
     return _make(out, (x,), "maxpool2x2", back)

@@ -329,6 +329,43 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON type of every checkpoint header field; a nested dict is a nested object.
+_FIELD_TYPES = {
+    "int": _is_int,
+    "number": lambda v: _is_int(v) or isinstance(v, float),
+    "string": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int list": lambda v: isinstance(v, list) and all(_is_int(i) for i in v),
+}
+_HEADER_SCHEMA = {
+    "method": "string", "members": "int", "overlap_k": "int", "n_classes": "int",
+    "t_tau": "int", "frozen": "bool", "beta": "number", "gamma": "number",
+    "p_share": "number", "fusion_mode": "string", "seed": "int",
+    "arch": {
+        "kind": "string", "input_shape": "int list", "n_classes": "int",
+        "conv_filters": "int list", "hidden_sizes": "int list", "aux_class": "bool",
+    },
+}
+
+
+def _check_header(obj, schema: dict, path: str, prefix: str = "") -> None:
+    """Raise FormatError naming the first missing or wrongly typed key."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: header {prefix.rstrip('.') or 'root'} is not a JSON object")
+    for key, kind in schema.items():
+        name = prefix + key
+        if key not in obj:
+            raise FormatError(f"{path}: header key {name!r} is missing")
+        if isinstance(kind, dict):
+            _check_header(obj[key], kind, path, name + ".")
+        elif not _FIELD_TYPES[kind](obj[key]):
+            raise FormatError(f"{path}: header key {name!r} is not a {kind}")
+
+
 def save_checkpoint(state, path: str) -> None:
     """Write the ensemble to ``path`` atomically (temp file + rename)."""
     header = {
@@ -416,6 +453,7 @@ def load_checkpoint(path: str):
         header = json.loads(reader.take(header_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt header: {exc}") from exc
+    _check_header(header, _HEADER_SCHEMA, path)
 
     arch = ArchitectureSpec(
         kind=header["arch"]["kind"],

@@ -118,7 +118,12 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
 
 
 def member_probabilities(state: EnsembleState, features, batch_size: int = 512) -> np.ndarray:
-    """Stacked softmax outputs [N, M, width] without building training graphs."""
+    """Stacked softmax outputs [N, M, width], ``batch_size`` examples at a time.
+
+    Each chunk runs the ordinary forward, so it builds a full graph with
+    backward closures; its retained activations stay alive until the
+    chunk's probabilities are taken.
+    """
     chunks = []
     n = features.shape[0]
     for start in range(0, n, batch_size):

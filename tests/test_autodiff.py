@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import mclkit.autodiff as ad
 from mclkit.errors import ConfigurationError, NumericError, StateError
 
+import conv_reference
 from gradcheck import check_tensor_grad, numeric_grad, assert_grads_close
 
 RNG = np.random.default_rng(20240811)
@@ -134,6 +135,60 @@ def test_conv2d_rejects_bad_configs():
         ad.conv2d(x, ad.Tensor(RNG.normal(size=(3, 5, 3, 3))))
 
 
+# (C, F, H, k): the three member conv layers, then fusion's 1x1 projection.
+CONV_SHAPES = [(1, 32, 16, 3), (32, 64, 8, 3), (64, 128, 4, 3), (64, 32, 16, 1)]
+# The GEMM op sums in another order than the reference; float64 tolerance.
+CONV_TOL = dict(rtol=1e-10, atol=1e-12)
+
+
+def _conv_case(cin, f, size, k):
+    """Input, kernel, bias and output gradient at batch 4."""
+    rng = np.random.default_rng([cin, f, size, k])
+    return (
+        rng.normal(size=(4, cin, size, size)),
+        ad.Tensor(rng.normal(size=(f, cin, k, k)), op="param"),
+        ad.Tensor(rng.normal(size=f), op="param"),
+        rng.normal(size=(4, f, size, size)),
+    )
+
+
+@pytest.mark.parametrize("cin,f,size,k", CONV_SHAPES)
+def test_conv2d_matches_loop_reference(cin, f, size, k):
+    x_data, w, b, g = _conv_case(cin, f, size, k)
+    x = ad.Tensor(x_data, op="param")
+    out = ad.conv2d(x, w, b)
+    ad.mul(out, g).sum().backward()
+    gx, gw, gb = conv_reference.conv2d_backward(x.data, w.data, g)
+    np.testing.assert_allclose(
+        out.data, conv_reference.conv2d_forward(x.data, w.data, b.data), **CONV_TOL
+    )
+    np.testing.assert_allclose(x.grad, gx, **CONV_TOL)
+    np.testing.assert_allclose(w.grad, gw, **CONV_TOL)
+    np.testing.assert_allclose(b.grad, gb, **CONV_TOL)
+
+
+@pytest.mark.parametrize("x_op", ["const", "input"])
+def test_conv2d_computes_no_gradient_into_input_batches(x_op):
+    x_data, w, b, g = _conv_case(1, 32, 16, 3)
+    x = ad.as_tensor(x_data) if x_op == "const" else ad.Tensor(x_data, op="input")
+    assert not x.requires_grad
+    out = ad.conv2d(x, w, b)
+    assert all(parent is not x for parent in out.parents)
+    ad.mul(out, g).sum().backward()
+    assert x.grad is None
+    _, gw, gb = conv_reference.conv2d_backward(x_data, w.data, g)
+    np.testing.assert_allclose(w.grad, gw, **CONV_TOL)
+    np.testing.assert_allclose(b.grad, gb, **CONV_TOL)
+
+
+def test_requires_grad_only_off_for_constants_and_inputs():
+    assert not ad.as_tensor(np.ones(2)).requires_grad
+    assert not ad.Tensor(np.ones(2), op="input").requires_grad
+    assert ad.Tensor(np.ones(2)).requires_grad
+    assert ad.Tensor(np.ones(2), op="param").requires_grad
+    assert ad.relu(ad.as_tensor(np.ones(2))).requires_grad
+
+
 def test_maxpool_matches_bruteforce():
     x = RNG.normal(size=(2, 3, 6, 4))
     out = ad.maxpool2x2(ad.Tensor(x)).data
@@ -142,6 +197,29 @@ def test_maxpool_matches_bruteforce():
             for i in range(3):
                 for j in range(2):
                     assert out[b, c, i, j] == x[b, c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2].max()
+
+
+def test_maxpool_ties_route_gradient_to_first_max():
+    # One 2x2 window per channel, listed in (0,0), (0,1), (1,0), (1,1) order,
+    # with the position of the first maximum in that order.
+    windows = [
+        ([5.0, 5.0, 1.0, 2.0], 0),  # two maxima
+        ([1.0, 3.0, 3.0, 0.0], 1),
+        ([1.0, 2.0, 4.0, 4.0], 2),
+        ([6.0, 6.0, 6.0, 1.0], 0),  # three maxima
+        ([0.0, 7.0, 7.0, 7.0], 1),
+        ([2.0, 2.0, 2.0, 2.0], 0),  # four maxima
+        ([-1.0, -2.0, -3.0, -4.0], 0),  # all zero after relu
+        ([-3.0, 0.0, -1.0, -0.5], 0),
+    ]
+    x = ad.Tensor(np.array([w for w, _ in windows]).reshape(1, -1, 2, 2), op="param")
+    pre = ad.relu(x)
+    g = np.arange(1.0, len(windows) + 1).reshape(1, -1, 1, 1)
+    ad.mul(ad.maxpool2x2(pre), g).sum().backward()
+    expected = np.zeros((1, len(windows), 4))
+    for c, (_, first) in enumerate(windows):
+        expected[0, c, first] = g[0, c, 0, 0]
+    assert np.array_equal(pre.grad, expected.reshape(pre.shape))
 
 
 def test_maxpool_rejects_odd_extents():

@@ -208,3 +208,19 @@ def test_compare_partial_failure_exit_code(tmp_path):
     lines = (out / "comparison.csv").read_text().splitlines()
     assert any("FAILED" in line for line in lines)
     assert any(line.startswith("ie,") and line.endswith("ok") for line in lines)
+
+
+def test_eval_checkpoint_with_missing_header_key_exits_2(trained_run, tmp_path):
+    import shutil
+
+    from test_data import _rewrite_header
+
+    ckpt = tmp_path / "checkpoint.amc1"
+    shutil.copy(trained_run / "checkpoint.amc1", ckpt)
+    _rewrite_header(ckpt, lambda h: h["arch"].pop("kind"))
+    result = CliRunner().invoke(
+        main,
+        ["eval", "--checkpoint", str(ckpt), "--dataset", BLOB_SPEC, "--out", str(tmp_path / "e")],
+    )
+    assert result.exit_code == 2
+    assert "arch.kind" in result.output

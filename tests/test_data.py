@@ -288,3 +288,33 @@ def test_checkpoint_write_is_atomic(tmp_path):
     save_checkpoint(state, path)
     assert not (tmp_path / "atomic.amc1.tmp").exists()
     load_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
+    import json
+
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + header_len])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + header_len :])
+
+
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        (lambda h: h["arch"].pop("kind"), "arch.kind"),
+        (lambda h: h.pop("members"), "members"),
+        (lambda h: h.update(seed="13"), "seed"),
+        (lambda h: h.update(arch=[1, 2]), "arch"),
+        (lambda h: h["arch"].update(input_shape=[6.5]), "arch.input_shape"),
+    ],
+)
+def test_checkpoint_bad_header_field_is_format_error(tmp_path, edit, key):
+    path = tmp_path / "ckpt.amc1"
+    save_checkpoint(_small_state(), path)
+    _rewrite_header(path, edit)
+    with pytest.raises(FormatError, match=rf"ckpt\.amc1: header .*'?{key}'?"):
+        load_checkpoint(path)

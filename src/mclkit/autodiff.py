@@ -4,12 +4,16 @@ The compute graph is built eagerly: every op returns a new Tensor recording
 its parents and a closure that maps the output gradient to parent gradients.
 ``backward`` walks the recorded graph once in reverse topological order and
 accumulates into each node's grad slot, so repeated calls without zeroing
-add up. Desk-scale by design: no views into shared storage, no dtype zoo,
-no graph rewriting.
+add up. Constant and input-batch leaves (``requires_grad`` false) receive no
+gradient. Inside ``no_graph()`` ops record nothing, so a forward whose
+gradient nobody reads keeps no activations alive. Desk-scale by design: no
+views into shared storage, no dtype zoo, no graph rewriting.
 """
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +24,10 @@ from .errors import ConfigurationError, NumericError, StateError
 # probability saturates at 0.
 EPS_PROB = 1e-12
 
-# Finiteness is an invariant of every forward/backward pass; the checks are
-# cheap at desk scale and catch divergence at the op that produced it.
+# Finiteness is an invariant of every forward/backward pass and catches
+# divergence at the op that produced it. Every op output is checked, and so
+# is every gradient that backward accumulates; gradients into constant and
+# input-batch leaves are neither accumulated nor checked.
 FINITE_CHECKS = True
 
 # Leaf ops of tensors that need no gradient: ``as_tensor`` constants and the
@@ -30,8 +36,33 @@ _NO_GRAD_OPS = frozenset({"const", "input"})
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if FINITE_CHECKS and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
+
+
+class _GraphSwitch(threading.local):
+    """Per-thread graph-recording flag; ``no_graph`` clears it."""
+
+    recording = True
+
+
+_graph = _GraphSwitch()
+
+
+@contextmanager
+def no_graph():
+    """Ops in this block, on this thread, record no parents and no closure.
+
+    Their outputs are plain values: ``backward`` through them reaches
+    nothing, and every intermediate array is freed as soon as the caller
+    drops it. Nests, and restores the previous state on exit or error.
+    """
+    previous = _graph.recording
+    _graph.recording = False
+    try:
+        yield
+    finally:
+        _graph.recording = previous
 
 
 class Tensor:
@@ -138,6 +169,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, parents, op, backward_fn) -> Tensor:
+    if not _graph.recording:
+        return Tensor(data, op=op)
     return Tensor(data, parents=parents, op=op, backward_fn=backward_fn)
 
 
@@ -491,7 +524,8 @@ def backward(loss: Tensor, seed=1.0) -> None:
     """Accumulate d(loss)/d(node) into every node's grad slot.
 
     The pass propagates pass-local gradients, so calling backward twice
-    without zeroing doubles every grad exactly.
+    without zeroing doubles every grad exactly. Contributions to parents
+    that need no gradient (constants, input batches) are dropped unchecked.
     """
     if loss.data.size != 1:
         raise StateError("backward requires a scalar loss node")
@@ -507,8 +541,11 @@ def backward(loss: Tensor, seed=1.0) -> None:
         if node._backward is None:
             continue
         contribs = node._backward(g)
+        where = f"{node.op}.backward"
         for parent, contrib in zip(node.parents, contribs):
-            _check_finite(contrib, f"{node.op}.backward")
+            if not parent.requires_grad:
+                continue
+            _check_finite(contrib, where)
             prev = local.get(id(parent))
             local[id(parent)] = contrib if prev is None else prev + contrib
 

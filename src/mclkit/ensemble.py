@@ -120,15 +120,17 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
 def member_probabilities(state: EnsembleState, features, batch_size: int = 512) -> np.ndarray:
     """Stacked softmax outputs [N, M, width], ``batch_size`` examples at a time.
 
-    Each chunk runs the ordinary forward, so it builds a full graph with
-    backward closures; its retained activations stay alive until the
-    chunk's probabilities are taken.
+    Each chunk runs the ordinary forward under ``no_graph``: the arithmetic
+    is that of a training forward, but no graph is recorded, so activations
+    are freed once the next layer has consumed them (the members' taps live
+    until the chunk's probabilities are taken).
     """
     chunks = []
     n = features.shape[0]
-    for start in range(0, n, batch_size):
-        x = features[start : start + batch_size]
-        logits, _ = ensemble_forward(state, x, train_mode=False)
-        probs = np.stack([ad.softmax(lg, axis=-1).data for lg in logits], axis=1)
-        chunks.append(probs)
+    with ad.no_graph():
+        for start in range(0, n, batch_size):
+            x = features[start : start + batch_size]
+            logits, _ = ensemble_forward(state, x, train_mode=False)
+            probs = np.stack([ad.softmax(lg, axis=-1).data for lg in logits], axis=1)
+            chunks.append(probs)
     return np.concatenate(chunks, axis=0)

@@ -184,6 +184,10 @@ def forward_member(model: MemberModel, batch, injected_features=None):
 
 
 def predict_proba(model: MemberModel, batch) -> np.ndarray:
-    """Softmax class probabilities, one row per example; rows sum to 1."""
-    logits, _ = model.forward(batch)
-    return ad.softmax(logits, axis=-1).data
+    """Softmax class probabilities, one row per example; rows sum to 1.
+
+    The forward runs under ``no_graph``, so it keeps no activations alive.
+    """
+    with ad.no_graph():
+        logits, _ = model.forward(batch)
+        return ad.softmax(logits, axis=-1).data

@@ -175,6 +175,12 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
         raise ConfigurationError("dataset is empty")
     if dataset.labels.min() < 0 or dataset.labels.max() >= dataset.n_classes:
         raise ConfigurationError("dataset labels out of range")
+    if cfg.method == "amcl" and cfg.t_tau < 1:
+        # Epoch 1 would already need the memory-based phase, whose
+        # specialization is fixed from counts that only epochs <= t_tau gather.
+        raise StateError(
+            f"amcl needs t_tau >= 1 to gather assignment counts (got t_tau={cfg.t_tau})"
+        )
 
     arch = resolve_architecture(dataset, cfg)
     state = build_ensemble(

@@ -335,6 +335,83 @@ def test_forward_backward_bit_determinism():
     assert run() == run()
 
 
+def test_backward_drops_gradients_into_constants():
+    # The gradient into the constant 1e-200 overflows (1e200 * 1e200); it is
+    # still computed by mul's closure but nobody reads it, so backward
+    # neither checks nor accumulates it.
+    x = ad.Tensor([1e200])
+    c = ad.as_tensor([1e-200])
+    with np.errstate(over="ignore"):
+        (ad.mul(x, c) * 1e200).sum().backward()
+    assert np.array_equal(x.grad, [1.0])
+    assert c.grad is None
+
+
+def test_backward_still_checks_gradients_into_parameters():
+    # The same graph with the small factor as a parameter: its gradient is
+    # read, so the overflow is caught at the op that produced it.
+    x = ad.Tensor([1e200])
+    c = ad.Tensor([1e-200], op="param")
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul.backward"):
+        (ad.mul(x, c) * 1e200).sum().backward()
+
+
+# ---------------------------------------------------------------------------
+# no-graph evaluation
+# ---------------------------------------------------------------------------
+
+def test_no_graph_ops_record_no_parents_and_no_closure():
+    w = ad.Tensor(RNG.normal(size=(3, 2)), op="param")
+    with ad.no_graph():
+        out = ad.relu(ad.matmul(ad.as_tensor(RNG.normal(size=(4, 3))), w))
+        loss = out.sum()
+    for node in (out, loss):
+        assert node.parents == ()
+        assert node._backward is None
+    loss.backward()
+    assert w.grad is None
+    recorded = ad.relu(w)
+    assert recorded.parents == (w,) and recorded._backward is not None
+
+
+def test_no_graph_restored_after_exception_and_when_nested():
+    x = ad.Tensor([1.0, 2.0], op="param")
+    with pytest.raises(ConfigurationError):
+        with ad.no_graph():
+            ad.matmul(x, x)
+    assert ad.relu(x).parents == (x,)
+    with ad.no_graph():
+        with ad.no_graph():
+            assert ad.relu(x).parents == ()
+        assert ad.relu(x).parents == ()
+    assert ad.relu(x).parents == (x,)
+
+
+def test_no_graph_is_thread_local():
+    import threading
+
+    entered, release = threading.Event(), threading.Event()
+    inside = {}
+
+    def evaluate():
+        with ad.no_graph():
+            entered.set()
+            release.wait(timeout=10)
+            inside["parents"] = ad.relu(ad.Tensor([1.0])).parents
+
+    worker = threading.Thread(target=evaluate)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        x = ad.Tensor([1.0, -1.0], op="param")
+        assert ad.relu(x).parents == (x,)
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert inside["parents"] == ()
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checks, one per op kind
 # ---------------------------------------------------------------------------

@@ -95,6 +95,13 @@ def test_predict_proba_rows_are_distributions():
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
 
+def test_predict_proba_matches_recorded_forward():
+    for spec, x in ((CNN_SPEC, RNG.uniform(size=(3, 1, 16, 16))), (MLP_SPEC, RNG.normal(size=(6, 8)))):
+        model = build_member(spec, 0, seed=5)
+        logits, _ = model.forward(x)
+        assert np.array_equal(predict_proba(model, x), ad.softmax(logits, axis=-1).data)
+
+
 def test_fresh_model_predicts_near_uniform():
     # head init is scaled down, so logits start close to zero
     for spec, shape in ((CNN_SPEC, (32, 1, 16, 16)), (MLP_SPEC, (32, 8))):

@@ -133,6 +133,20 @@ def test_amcl_t_tau_zero_rejected_as_state_error():
         train(BLOBS, _mlp_cfg("amcl", t_tau=0, epochs=2))
 
 
+@pytest.mark.parametrize("t_tau", [0, -1])
+def test_amcl_t_tau_below_one_rejected_before_any_work(t_tau, monkeypatch):
+    import mclkit.training as training
+
+    def no_build(**kw):
+        raise AssertionError("ensemble built before the schedule was checked")
+
+    monkeypatch.setattr(training, "build_ensemble", no_build)
+    epochs = []
+    with pytest.raises(StateError, match="t_tau"):
+        train(BLOBS, _mlp_cfg("amcl", t_tau=t_tau, epochs=2), on_epoch=lambda *a: epochs.append(a))
+    assert epochs == []
+
+
 def test_counter_accumulates_only_through_threshold():
     state, _ = train(BLOBS, _mlp_cfg("amcl", epochs=8, t_tau=3))
     # K=1: one increment per example per accumulation epoch

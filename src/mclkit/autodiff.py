@@ -5,9 +5,13 @@ its parents and a closure that maps the output gradient to parent gradients.
 ``backward`` walks the recorded graph once in reverse topological order and
 accumulates into each node's grad slot, so repeated calls without zeroing
 add up. Constant and input-batch leaves (``requires_grad`` false) receive no
-gradient. Inside ``no_graph()`` ops record nothing, so a forward whose
-gradient nobody reads keeps no activations alive. Desk-scale by design: no
-views into shared storage, no dtype zoo, no graph rewriting.
+gradient: ops record such operands as no parent where they can, and
+``backward`` drops any contribution that still reaches one. Inside
+``no_graph()`` ops record nothing, so a forward whose gradient nobody reads
+keeps no activations alive. Ensemble members share one graph through a
+leading member axis (``stack``, and ``matmul`` on [M, n, k] operands).
+Desk-scale by design: no views into shared storage, no dtype zoo, no graph
+rewriting.
 """
 from __future__ import annotations
 
@@ -174,26 +178,38 @@ def _make(data, parents, op, backward_fn) -> Tensor:
     return Tensor(data, parents=parents, op=op, backward_fn=backward_fn)
 
 
+def _make_pruned(data, inputs, op, grad_fns) -> Tensor:
+    """``_make`` recording only the inputs that need a gradient.
+
+    ``grad_fns[i]`` maps the output gradient to input i's gradient; it is
+    never called for a constant or input-batch operand.
+    """
+    kept = [(t, fn) for t, fn in zip(inputs, grad_fns) if t.requires_grad]
+
+    def back(g):
+        return tuple(fn(g) for _, fn in kept)
+
+    return _make(data, tuple(t for t, _ in kept), op, back)
+
+
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _make(a.data + b.data, (a, b), "add", back)
+    return _make_pruned(a.data + b.data, (a, b), "add", (
+        lambda g: _unbroadcast(g, a.data.shape),
+        lambda g: _unbroadcast(g, b.data.shape),
+    ))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _make(a.data - b.data, (a, b), "sub", back)
+    return _make_pruned(a.data - b.data, (a, b), "sub", (
+        lambda g: _unbroadcast(g, a.data.shape),
+        lambda g: _unbroadcast(-g, b.data.shape),
+    ))
 
 
 def neg(a) -> Tensor:
@@ -203,29 +219,29 @@ def neg(a) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def back(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return _make(a.data * b.data, (a, b), "mul", back)
+    return _make_pruned(a.data * b.data, (a, b), "mul", (
+        lambda g: _unbroadcast(g * b.data, a.data.shape),
+        lambda g: _unbroadcast(g * a.data, b.data.shape),
+    ))
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product; either operand may carry a leading member axis.
+
+    Operands are [n, k] or [M, n, k]. A 2-D operand is shared by every
+    member, and each member's slice of the product (and of its gradients)
+    is the same GEMM as the 2-D product of that member's operands.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ConfigurationError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ConfigurationError(
-            f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}"
-        )
-
-    def back(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _make(a.data @ b.data, (a, b), "matmul", back)
+    x, y = a.data, b.data
+    if x.ndim not in (2, 3) or y.ndim not in (2, 3):
+        raise ConfigurationError("matmul expects 2-D operands or a leading member axis")
+    if x.shape[-1] != y.shape[-2] or (x.ndim == y.ndim == 3 and x.shape[0] != y.shape[0]):
+        raise ConfigurationError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
+    return _make_pruned(x @ y, (a, b), "matmul", (
+        lambda g: _unbroadcast(g @ y.swapaxes(-1, -2), x.shape),
+        lambda g: _unbroadcast(x.swapaxes(-1, -2) @ g, y.shape),
+    ))
 
 
 def relu(a) -> Tensor:
@@ -287,11 +303,7 @@ def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     in_shape = a.data.shape
-
-    def back(g):
-        return (g.reshape(in_shape),)
-
-    return _make(a.data.reshape(shape), (a,), "reshape", back)
+    return _make_pruned(a.data.reshape(shape), (a,), "reshape", (lambda g: g.reshape(in_shape),))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -302,13 +314,24 @@ def concat(tensors, axis=0) -> Tensor:
         out = np.concatenate([t.data for t in ts], axis=axis)
     except ValueError as exc:
         raise ConfigurationError(f"concat shape mismatch: {exc}") from exc
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum(sizes)[:-1]
+    bounds = np.cumsum([0] + [t.data.shape[axis] for t in ts])
 
-    def back(g):
-        return tuple(np.split(g, offsets, axis=axis))
+    def part(lo, hi):
+        return lambda g: np.split(g, (lo, hi), axis=axis)[1]
 
-    return _make(out, tuple(ts), "concat", back)
+    return _make_pruned(out, ts, "concat", [part(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+
+
+def stack(tensors) -> Tensor:
+    """Equally shaped tensors joined along a new leading (member) axis."""
+    ts = [as_tensor(t) for t in tensors]
+    if not ts:
+        raise ConfigurationError("stack of an empty sequence")
+    shapes = {t.data.shape for t in ts}
+    if len(shapes) != 1:
+        raise ConfigurationError(f"stack shapes differ: {sorted(shapes)}")
+    grad_fns = [lambda g, i=i: g[i] for i in range(len(ts))]
+    return _make_pruned(np.stack([t.data for t in ts]), ts, "stack", grad_fns)
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +544,26 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor, seed=1.0) -> None:
-    """Accumulate d(loss)/d(node) into every node's grad slot.
+    """Accumulate d(root)/d(node), times ``seed``, into every node's grad slot.
 
-    The pass propagates pass-local gradients, so calling backward twice
-    without zeroing doubles every grad exactly. Contributions to parents
-    that need no gradient (constants, input batches) are dropped unchecked.
+    ``seed`` is a scalar for a scalar root, or an array shaped like the root
+    (the gradient of some later loss with respect to it). The pass
+    propagates pass-local gradients, so calling backward twice without
+    zeroing doubles every grad exactly. Contributions to parents that need
+    no gradient (constants, input batches) are dropped unchecked.
     """
-    if loss.data.size != 1:
-        raise StateError("backward requires a scalar loss node")
+    if np.ndim(seed) == 0:
+        if loss.data.size != 1:
+            raise StateError("backward requires a scalar loss node or a seed of its shape")
+        start = np.full_like(loss.data, float(seed))
+    else:
+        start = np.asarray(seed, dtype=np.float64)
+        if start.shape != loss.data.shape:
+            raise StateError(
+                f"backward seed shape {start.shape} does not match the root's {loss.data.shape}"
+            )
     order = topo_order(loss)
-    local: dict[int, np.ndarray] = {
-        id(loss): np.full_like(loss.data, float(seed))
-    }
+    local: dict[int, np.ndarray] = {id(loss): start}
     for node in reversed(order):
         g = local.pop(id(node), None)
         if g is None:

@@ -3,8 +3,9 @@
 All reports are plain CSV so runs can be diffed byte-for-byte; nothing in
 the output depends on wall-clock time. Exit codes: 0 success, 1 partial
 failure (compare sub-run failed), 2 usage or configuration error, 3 numeric
-failure. The AMCL_THREADS environment variable caps member parallelism
-(default: the number of members).
+failure. The AMCL_THREADS environment variable sets how many threads run
+the members' forward and backward passes (default 1: all members in one
+member-axis graph).
 """
 from __future__ import annotations
 

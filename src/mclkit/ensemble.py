@@ -9,7 +9,7 @@ from . import autodiff as ad
 from .errors import ConfigurationError
 from .fusion import FusionModule, feature_share
 from .losses import AssignmentCounter, SpecializationMatrix
-from .models import ArchitectureSpec, MemberModel, build_member
+from .models import ArchitectureSpec, MemberModel, build_member, mlp_forward, mlp_layers
 
 METHODS = ("ie", "smcl", "cmcl", "amcl")
 FUSION_MODES = ("none", "module", "share")
@@ -93,28 +93,33 @@ def build_ensemble(
     )
 
 
-def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rng=None):
-    """Forward every member, routing tap features through the fusion stage.
+def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rng=None) -> ad.Tensor:
+    """Forward every member; returns member-major logits [M, B, C].
 
-    Returns (logits per member, taps per member). All member taps must be
-    available before fusion, so this is the cross-member synchronization
-    point. Feature sharing only shuffles during training; at inference the
-    members keep their own features.
+    MLP members run together, one member-axis matmul per dense layer. CNN
+    conv trunks run per member, and their logits are stacked. Fusion needs
+    all member taps before any member continues, so with a fusion stage the
+    taps are taken per member and routed through it. Feature sharing only
+    shuffles during training; at inference the members keep their own
+    features.
     """
     x = ad.as_tensor(x)
+    mlp = state.arch.kind == "mlp"
+    mixes = state.fusion_mode == "module" or (state.fusion_mode == "share" and train_mode)
+    if mlp and not mixes:
+        return mlp_forward(state.members, x)
     taps = [member.forward_to_tap(x) for member in state.members]
     if state.fusion_mode == "module":
         feats = state.fusion.member_features(taps)
-    elif state.fusion_mode == "share" and train_mode:
+    elif mixes:
         if share_rng is None:
             raise ConfigurationError("feature sharing needs a seeded generator")
         feats = feature_share(taps, p_share=state.p_share, rng=share_rng)
     else:
         feats = taps
-    logits = [
-        member.forward_from_tap(feats[m]) for m, member in enumerate(state.members)
-    ]
-    return logits, taps
+    if mlp:
+        return mlp_layers(state.members, ad.stack(feats), 2)
+    return ad.stack([member.forward_from_tap(f) for member, f in zip(state.members, feats)])
 
 
 def member_probabilities(state: EnsembleState, features, batch_size: int = 512) -> np.ndarray:
@@ -122,15 +127,13 @@ def member_probabilities(state: EnsembleState, features, batch_size: int = 512) 
 
     Each chunk runs the ordinary forward under ``no_graph``: the arithmetic
     is that of a training forward, but no graph is recorded, so activations
-    are freed once the next layer has consumed them (the members' taps live
-    until the chunk's probabilities are taken).
+    are freed once the next layer has consumed them (per-member taps, where
+    the forward takes them, live until every member has continued).
     """
     chunks = []
     n = features.shape[0]
     with ad.no_graph():
         for start in range(0, n, batch_size):
-            x = features[start : start + batch_size]
-            logits, _ = ensemble_forward(state, x, train_mode=False)
-            probs = np.stack([ad.softmax(lg, axis=-1).data for lg in logits], axis=1)
-            chunks.append(probs)
+            logits = ensemble_forward(state, features[start : start + batch_size], train_mode=False)
+            chunks.append(ad.softmax(logits, axis=-1).data.transpose(1, 0, 2))
     return np.concatenate(chunks, axis=0)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add as _add
 
 import numpy as np
 
@@ -74,12 +72,21 @@ def _as_label_matrix(labels, width: int, aux: bool) -> np.ndarray:
     return arr
 
 
-def _as_member_probs(probs) -> list:
-    """Accept a [B, M, C] array or a sequence of M per-member [B, C] tensors."""
+def _as_member_probs(probs) -> ad.Tensor:
+    """Member-major probabilities [M, B, C], from any accepted input form.
+
+    Accepts a [B, M, C] array, a member-major [M, B, C] Tensor, or a
+    sequence of M per-member [B, C] tensors (stacked, so gradients reach
+    each of them).
+    """
+    if isinstance(probs, ad.Tensor):
+        if probs.ndim != 3:
+            raise ConfigurationError("member-major probabilities must be [M, B, C]")
+        return probs
     if isinstance(probs, np.ndarray):
         if probs.ndim != 3:
             raise ConfigurationError("stacked probabilities must be [B, M, C]")
-        return [ad.as_tensor(probs[:, m]) for m in range(probs.shape[1])]
+        return ad.as_tensor(np.ascontiguousarray(probs.transpose(1, 0, 2)))
     members = [ad.as_tensor(p) for p in probs]
     if not members:
         raise ConfigurationError("no member probabilities supplied")
@@ -88,24 +95,51 @@ def _as_member_probs(probs) -> list:
         raise ConfigurationError(f"member probability shapes differ: {sorted(shapes)}")
     if members[0].ndim != 2:
         raise ConfigurationError("member probabilities must be [B, C]")
-    return members
+    return ad.stack(members)
 
 
-def _member_ce(p: ad.Tensor, target: np.ndarray) -> ad.Tensor:
-    return ad.cross_entropy_onehot(p, target)
+def _as_member_losses(per_model_losses) -> ad.Tensor:
+    """Member-major losses [M, B] from a [B, M] array, an [M, B] Tensor, or M [B] vectors."""
+    if isinstance(per_model_losses, ad.Tensor):
+        out = per_model_losses
+    elif isinstance(per_model_losses, np.ndarray):
+        if per_model_losses.ndim != 2:
+            raise ConfigurationError("per-model losses must be [B, M]")
+        out = ad.as_tensor(np.ascontiguousarray(per_model_losses.T))
+    else:
+        out = ad.stack(per_model_losses)
+    if out.ndim != 2:
+        raise ConfigurationError("per-model losses must be [M, B]")
+    return out
 
 
 def _aux_ce(p: ad.Tensor) -> ad.Tensor:
-    """-log p_aux per example; the KL(aux one-hot || p) penalty term."""
+    """-log p_aux per member and example; the KL(aux one-hot || p) penalty term."""
     width = p.shape[-1]
     return ad.cross_entropy_onehot(p, auxiliary_target(width - 1))
 
 
-def member_cross_entropies(probs, labels, aux: bool = False) -> list:
-    """Per-member cross-entropy vectors [B] against one-hot ``labels``."""
-    members = _as_member_probs(probs)
-    lab = _as_label_matrix(labels, members[0].shape[-1], aux=aux)
-    return [_member_ce(p, lab) for p in members]
+def _masked_sums(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
+    """Per-member sums [M] of [M, B] ``values`` over the examples a [B, M] mask selects."""
+    return ad.mul(values, np.ascontiguousarray(mask.T, dtype=np.float64)).sum(axis=1)
+
+
+def _penalized(p: ad.Tensor, ces: ad.Tensor, on: np.ndarray, penalty, weight: float) -> ad.Tensor:
+    """Assigned cross-entropy plus ``weight`` times ``penalty(p)`` where unassigned.
+
+    ``on`` is the [B, M] assignment; the result holds one term per member.
+    """
+    terms = _masked_sums(ces, on)
+    if weight:
+        terms = ad.add(terms, ad.mul(_masked_sums(penalty(p), 1 - on), weight))
+    return terms
+
+
+def member_cross_entropies(probs, labels, aux: bool = False) -> ad.Tensor:
+    """Member-major cross-entropies [M, B] against one-hot ``labels``."""
+    p = _as_member_probs(probs)
+    lab = _as_label_matrix(labels, p.shape[-1], aux=aux)
+    return ad.cross_entropy_onehot(p, lab)
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +259,13 @@ def fix_specialization(counter: AssignmentCounter, k: int) -> SpecializationMatr
 # objectives (sum form, matching the dataset-level definitions)
 # ---------------------------------------------------------------------------
 
-def _total(terms) -> ad.Tensor:
-    return reduce(_add, terms)
+def _total(terms: ad.Tensor) -> ad.Tensor:
+    return terms.sum()
 
 
-def ie_loss_terms(per_model_losses) -> list:
-    """Per-member loss sums for the independent-ensemble objective."""
-    if isinstance(per_model_losses, np.ndarray):
-        cols = [ad.as_tensor(per_model_losses[:, m]) for m in range(per_model_losses.shape[1])]
-    else:
-        cols = [ad.as_tensor(c) for c in per_model_losses]
-    return [c.sum() for c in cols]
+def ie_loss_terms(per_model_losses) -> ad.Tensor:
+    """Per-member loss sums [M] for the independent-ensemble objective."""
+    return _as_member_losses(per_model_losses).sum(axis=1)
 
 
 def ie_loss(per_model_losses) -> ad.Tensor:
@@ -245,26 +275,21 @@ def ie_loss(per_model_losses) -> ad.Tensor:
 
 def oracle_loss(per_model_losses) -> float:
     """Sum over examples of the minimum loss across members."""
-    if not isinstance(per_model_losses, np.ndarray):
-        per_model_losses = np.stack(
-            [np.asarray(c.data if isinstance(c, ad.Tensor) else c) for c in per_model_losses],
-            axis=1,
-        )
-    if per_model_losses.ndim != 2:
-        raise ConfigurationError("per-model losses must be [B, M]")
-    return float(per_model_losses.min(axis=1).sum())
+    return float(_as_member_losses(per_model_losses).data.min(axis=0).sum())
+
+
+def _top_k_ces(probs, labels, k: int, aux: bool):
+    """Member-major probabilities, their [M, B] cross-entropies, and the top-K
+    [B, M] assignment those detached values select."""
+    p = _as_member_probs(probs)
+    ces = ad.cross_entropy_onehot(p, _as_label_matrix(labels, p.shape[-1], aux=aux))
+    return p, ces, assign_top_k(ces.data.T, k)
 
 
 def smcl_loss_terms(probs, labels, k: int):
-    """Top-K assigned cross-entropy terms, one per member."""
-    members = _as_member_probs(probs)
-    width = members[0].shape[-1]
-    lab = _as_label_matrix(labels, width, aux=False)
-    ces = [_member_ce(p, lab) for p in members]
-    values = np.stack([c.data for c in ces], axis=1)
-    v = assign_top_k(values, k)
-    terms = [ad.mul(ces[m], v[:, m].astype(np.float64)).sum() for m in range(len(members))]
-    return terms, v
+    """Top-K assigned cross-entropy terms [M] and the [B, M] assignment."""
+    _, ces, v = _top_k_ces(probs, labels, k, aux=False)
+    return _masked_sums(ces, v), v
 
 
 def smcl_loss(probs, labels, k: int):
@@ -278,20 +303,8 @@ def lba_loss_terms(probs, labels, cfg: PenaltyConfig):
     The assignment itself is derived from the detached cross-entropy values
     (hard top-K, no gradient through the selection).
     """
-    members = _as_member_probs(probs)
-    width = members[0].shape[-1]
-    lab = _as_label_matrix(labels, width, aux=True)
-    ces = [_member_ce(p, lab) for p in members]
-    values = np.stack([c.data for c in ces], axis=1)
-    v = assign_top_k(values, cfg.k)
-    terms = []
-    for m, p in enumerate(members):
-        on = v[:, m].astype(np.float64)
-        term = ad.mul(ces[m], on).sum()
-        if cfg.beta:
-            term = ad.add(term, ad.mul(ad.mul(_aux_ce(p), 1.0 - on).sum(), cfg.beta))
-        terms.append(term)
-    return terms, v
+    p, ces, v = _top_k_ces(probs, labels, cfg.k, aux=True)
+    return _penalized(p, ces, v, _aux_ce, cfg.beta), v
 
 
 def lba_loss(probs, labels, cfg: PenaltyConfig):
@@ -304,21 +317,13 @@ def mba_loss_terms(probs, labels, w: SpecializationMatrix, class_indices=None, c
     if not isinstance(w, SpecializationMatrix) or not w.frozen:
         raise StateError("memory-based assignment requires a frozen specialization matrix")
     cfg = cfg or PenaltyConfig()
-    members = _as_member_probs(probs)
-    width = members[0].shape[-1]
-    lab = _as_label_matrix(labels, width, aux=True)
+    p = _as_member_probs(probs)
+    lab = _as_label_matrix(labels, p.shape[-1], aux=True)
     ci = lab.argmax(axis=1) if class_indices is None else np.asarray(class_indices, dtype=np.int64)
     if np.any(ci != lab.argmax(axis=1)):
         raise InputError("class_indices disagree with the one-hot labels")
-    flags = w.rows_for(ci).astype(np.float64)
-    terms = []
-    for m, p in enumerate(members):
-        on = flags[:, m]
-        term = ad.mul(_member_ce(p, lab), on).sum()
-        if cfg.gamma:
-            term = ad.add(term, ad.mul(ad.mul(_aux_ce(p), 1.0 - on).sum(), cfg.gamma))
-        terms.append(term)
-    return terms, w.rows_for(ci)
+    flags = w.rows_for(ci)
+    return _penalized(p, ad.cross_entropy_onehot(p, lab), flags, _aux_ce, cfg.gamma), flags
 
 
 def mba_loss(probs, labels, w: SpecializationMatrix, class_indices=None, cfg: PenaltyConfig | None = None) -> ad.Tensor:
@@ -332,20 +337,8 @@ def cmcl_loss_terms(probs, labels, cfg: PenaltyConfig):
     Heads carry no auxiliary slot here; probabilities are plain class
     distributions.
     """
-    members = _as_member_probs(probs)
-    width = members[0].shape[-1]
-    lab = _as_label_matrix(labels, width, aux=False)
-    ces = [_member_ce(p, lab) for p in members]
-    values = np.stack([c.data for c in ces], axis=1)
-    v = assign_top_k(values, cfg.k)
-    terms = []
-    for m, p in enumerate(members):
-        on = v[:, m].astype(np.float64)
-        term = ad.mul(ces[m], on).sum()
-        if cfg.beta:
-            term = ad.add(term, ad.mul(ad.mul(ad.kl_uniform_to(p), 1.0 - on).sum(), cfg.beta))
-        terms.append(term)
-    return terms, v
+    p, ces, v = _top_k_ces(probs, labels, cfg.k, aux=False)
+    return _penalized(p, ces, v, ad.kl_uniform_to, cfg.beta), v
 
 
 def cmcl_loss(probs, labels, cfg: PenaltyConfig):

@@ -111,8 +111,7 @@ class MemberModel:
         p = self.params
         if self.spec.kind == "simple_cnn":
             return ad.relu(ad.conv2d(x, p["conv1.w"], p["conv1.b"]))
-        flat = ad.reshape(x, (x.shape[0], -1))
-        return ad.relu(ad.dense(flat, p["dense1.w"], p["dense1.b"]))
+        return _single(mlp_layers([self], _flat(x), 1, 1))
 
     def forward_from_tap(self, tap) -> ad.Tensor:
         tap = ad.as_tensor(tap)
@@ -128,10 +127,7 @@ class MemberModel:
             h = ad.maxpool2x2(ad.relu(ad.conv2d(h, p["conv3.w"], p["conv3.b"])))
             h = ad.reshape(h, (h.shape[0], -1))
             return ad.dense(h, p["fc.w"], p["fc.b"])
-        h = tap
-        for i in range(2, len(self.spec.hidden_sizes) + 1):
-            h = ad.relu(ad.dense(h, p[f"dense{i}.w"], p[f"dense{i}.b"]))
-        return ad.dense(h, p["head.w"], p["head.b"])
+        return _single(mlp_layers([self], tap, 2))
 
     def forward(self, x, injected_features=None):
         """Run the member; returns (logits, own tap features).
@@ -142,6 +138,43 @@ class MemberModel:
         tap = self.forward_to_tap(x)
         source = tap if injected_features is None else ad.as_tensor(injected_features)
         return self.forward_from_tap(source), tap
+
+
+def mlp_layers(members, h, first: int, last: int | None = None) -> ad.Tensor:
+    """Dense layers ``first``..``last`` of MLP members, one member-axis matmul each.
+
+    Layer i is ``dense{i}`` with a relu; the layer after the last hidden one
+    (the default ``last``) is the head, without. ``h`` is [B, in], shared by
+    every member, or member-major [M, B, in]; the result is [M, B, out].
+    Each call stacks the members' own parameter tensors, so gradients land
+    in them.
+    """
+    hidden = len(members[0].spec.hidden_sizes)
+    last = hidden + 1 if last is None else last
+    for i in range(first, last + 1):
+        name = f"dense{i}" if i <= hidden else "head"
+        w = ad.stack([m.params[f"{name}.w"] for m in members])
+        b = ad.stack([m.params[f"{name}.b"] for m in members])
+        h = ad.add(ad.matmul(h, w), ad.reshape(b, (len(members), 1, -1)))
+        if i <= hidden:
+            h = ad.relu(h)
+    return h
+
+
+def mlp_forward(members, x) -> ad.Tensor:
+    """Logits [M, B, C] of MLP members on one shared batch."""
+    x = ad.as_tensor(x)
+    members[0]._check_batch(x)
+    return mlp_layers(members, _flat(x), 1)
+
+
+def _flat(x: ad.Tensor) -> ad.Tensor:
+    return x if x.ndim == 2 else ad.reshape(x, (x.shape[0], -1))
+
+
+def _single(h: ad.Tensor) -> ad.Tensor:
+    """Drop the member axis of a one-member [1, B, n] result."""
+    return ad.reshape(h, h.shape[1:])
 
 
 def build_member(spec: ArchitectureSpec, member_index: int, seed: int) -> MemberModel:

@@ -1,10 +1,13 @@
 """Training loops for the four ensemble objectives.
 
-One coordinator owns the loop. Members run disjoint graphs, so with no
-fusion stage their forward and backward passes can execute on a thread pool
-(capped by the AMCL_THREADS environment variable) without changing any
-result: each member's arithmetic is confined to its own tensors and the
-reductions happen in fixed member order.
+One coordinator owns the loop. Each step builds one graph for all members:
+the member-major [M, B, C] forward, the objective's [M] per-member terms,
+and one backward. With no fusion stage and AMCL_THREADS above 1 (the
+default is 1), the members' forward and backward passes instead run on a
+thread pool: their logits meet in one detached [M, B, C] leaf, the
+objective back-propagates into it, and each member back-propagates its own
+slice. Every member's arithmetic is the same either way, so the thread
+count never changes a result.
 """
 from __future__ import annotations
 
@@ -129,21 +132,20 @@ def freeze_specialization(state: EnsembleState) -> EnsembleState:
 def _thread_budget(members: int) -> int:
     raw = os.environ.get(THREADS_ENV, "")
     try:
-        budget = int(raw) if raw else members
+        budget = int(raw) if raw else 1
     except ValueError:
         raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}")
     return max(1, min(budget, members))
 
 
-def _member_forward(member, x_np):
+def _member_logits(member, x_np) -> ad.Tensor:
     """Forward one member on its own copy of the batch (graph confinement)."""
-    xt = ad.Tensor(x_np, op="input")
-    logits, _ = member.forward(xt)
-    return ad.softmax(logits, axis=-1)
+    logits, _ = member.forward(ad.Tensor(x_np, op="input"))
+    return logits
 
 
 def _objective_terms(state, cfg, epoch, probs, y):
-    """Per-member scalar loss terms plus the assignment actually used."""
+    """Per-member loss terms [M] plus the assignment actually used."""
     n = state.n_classes
     if state.method == "ie":
         ces = losses.member_cross_entropies(probs, losses.one_hot(y, n))
@@ -221,18 +223,20 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
                 x, y = features[idx], labels[idx]
                 try:
                     if parallel:
-                        probs = list(
-                            pool.map(lambda m: _member_forward(state.members[m], x), range(cfg.members))
+                        member_logits = list(
+                            pool.map(lambda m: _member_logits(state.members[m], x), range(cfg.members))
                         )
+                        logits = ad.Tensor(np.stack([lg.data for lg in member_logits]))
                     else:
-                        logits, _ = ensemble_forward(state, x, train_mode=True, share_rng=share_rng)
-                        probs = [ad.softmax(lg, axis=-1) for lg in logits]
+                        logits = ensemble_forward(state, x, train_mode=True, share_rng=share_rng)
+                    probs = ad.softmax(logits, axis=-1)
                     terms, v, phase = _objective_terms(state, cfg, epoch, probs, y)
-                    scale = 1.0 / len(idx)
+                    ad.backward(losses._total(terms), seed=1.0 / len(idx))
                     if parallel:
-                        list(pool.map(lambda t: ad.backward(t, seed=scale), terms))
-                    else:
-                        ad.backward(losses._total(terms), seed=scale)
+                        list(pool.map(
+                            lambda m: ad.backward(member_logits[m], seed=logits.grad[m]),
+                            range(cfg.members),
+                        ))
                     optimizer.step()
                     optimizer.zero_grad()
                 except NumericError as exc:
@@ -240,12 +244,12 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
                         f"epoch {epoch}, batch at example {start}: {exc}"
                     ) from exc
 
-                loss_sum += sum(float(t) for t in terms)
+                loss_sum += sum(terms.data.tolist())
                 np.add.at(epoch_counts, y, v)
                 if state.method == "amcl" and epoch <= cfg.t_tau:
                     losses.accumulate_counts(state.counter, v, y)
 
-                stacked = np.stack([p.data for p in probs], axis=1)
+                stacked = np.ascontiguousarray(probs.data.transpose(1, 0, 2))
                 stripped = strip_auxiliary(stacked) if state.has_aux else stacked
                 per_model_pred = stripped.argmax(axis=2)
                 all_wrong += int((per_model_pred != y[:, None]).all(axis=1).sum())

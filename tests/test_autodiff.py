@@ -336,9 +336,8 @@ def test_forward_backward_bit_determinism():
 
 
 def test_backward_drops_gradients_into_constants():
-    # The gradient into the constant 1e-200 overflows (1e200 * 1e200); it is
-    # still computed by mul's closure but nobody reads it, so backward
-    # neither checks nor accumulates it.
+    # The gradient into the constant 1e-200 would overflow (1e200 * 1e200);
+    # nobody reads it, so it is neither computed, checked nor accumulated.
     x = ad.Tensor([1e200])
     c = ad.as_tensor([1e-200])
     with np.errstate(over="ignore"):
@@ -354,6 +353,103 @@ def test_backward_still_checks_gradients_into_parameters():
     c = ad.Tensor([1e-200], op="param")
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="mul.backward"):
         (ad.mul(x, c) * 1e200).sum().backward()
+
+
+def test_constant_operands_are_recorded_as_no_parent():
+    x = ad.Tensor(RNG.normal(size=(2, 3)), op="param")
+    const = RNG.normal(size=(2, 3))
+    assert ad.mul(x, const).parents == (x,)
+    assert ad.add(const, x).parents == (x,)
+    assert ad.sub(x, ad.Tensor(const, op="input")).parents == (x,)
+    assert ad.matmul(ad.as_tensor(const.T), x).parents == (x,)
+    assert ad.concat([const, x], axis=0).parents == (x,)
+    assert ad.reshape(const, (3, 2)).parents == ()
+    assert ad.stack([x, const]).parents == (x,)
+
+
+def test_closures_compute_no_gradient_for_constant_operands():
+    # With over="raise", computing the gradient into the constant 1e-200
+    # (1e200 * 1e200) would raise; recorded as no parent, it never runs.
+    x = ad.Tensor([1e200])
+    c = ad.as_tensor([1e-200])
+    out = ad.mul(x, c) * 1e200
+    assert len(out._backward(np.ones(1))) == 1
+    with np.errstate(over="raise"):
+        out.sum().backward()
+    assert np.array_equal(x.grad, [1.0])
+
+
+@pytest.mark.parametrize("shared", ["none", "left", "right"])
+def test_member_axis_matmul_slices_equal_2d_matmul_bitwise(shared):
+    rng = np.random.default_rng(list(shared.encode()))
+    m, b, k, n = 3, 33, 16, 8
+    a_data = rng.normal(size=(b, k) if shared == "left" else (m, b, k))
+    w_data = rng.normal(size=(k, n) if shared == "right" else (m, k, n))
+    a, w = ad.Tensor(a_data, op="param"), ad.Tensor(w_data, op="param")
+    g = rng.normal(size=(m, b, n))
+    out = ad.matmul(a, w)
+    ad.mul(out, g).sum().backward()
+    a_grad, w_grad = np.zeros_like(a_data), np.zeros_like(w_data)
+    for i in range(m):
+        ai = ad.Tensor((a_data if shared == "left" else a_data[i]).copy(), op="param")
+        wi = ad.Tensor((w_data if shared == "right" else w_data[i]).copy(), op="param")
+        outi = ad.matmul(ai, wi)
+        ad.mul(outi, g[i].copy()).sum().backward()
+        assert np.array_equal(out.data[i], outi.data)
+        if shared == "left":
+            a_grad += ai.grad
+        else:
+            a_grad[i] = ai.grad
+        if shared == "right":
+            w_grad += wi.grad
+        else:
+            w_grad[i] = wi.grad
+    if shared != "left":
+        assert np.array_equal(a.grad, a_grad)
+    else:
+        np.testing.assert_allclose(a.grad, a_grad, rtol=1e-12)
+    if shared != "right":
+        assert np.array_equal(w.grad, w_grad)
+    else:
+        np.testing.assert_allclose(w.grad, w_grad, rtol=1e-12)
+
+
+def test_matmul_rejects_bad_member_axes():
+    with pytest.raises(ConfigurationError):
+        ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(ConfigurationError):
+        ad.matmul(ad.Tensor(np.ones((1, 2, 3, 4))), ad.Tensor(np.ones((4, 5))))
+    with pytest.raises(ConfigurationError):
+        ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 5))))
+
+
+def test_stack_rejects_empty_and_mismatched_inputs():
+    with pytest.raises(ConfigurationError):
+        ad.stack([])
+    with pytest.raises(ConfigurationError):
+        ad.stack([ad.Tensor(np.ones(2)), ad.Tensor(np.ones(3))])
+
+
+def test_backward_with_array_seed_equals_weighted_scalar_loss():
+    rng = np.random.default_rng(5)
+    seed = rng.normal(size=(4, 2))
+    x = ad.Tensor(rng.normal(size=(4, 3)), op="param")
+    w = ad.Tensor(rng.normal(size=(3, 2)), op="param")
+    ad.backward(ad.relu(ad.matmul(x, w)), seed=seed)
+    seeded = x.grad.copy(), w.grad.copy()
+    x.grad = w.grad = None
+    ad.mul(ad.relu(ad.matmul(x, w)), seed).sum().backward()
+    assert np.array_equal(seeded[0], x.grad)
+    assert np.array_equal(seeded[1], w.grad)
+
+
+def test_backward_rejects_seed_of_another_shape():
+    x = ad.Tensor(np.ones((2, 3)), op="param")
+    root = ad.relu(x)
+    for seed in (np.ones((3, 2)), np.ones(6), np.ones((1, 2, 3))):
+        with pytest.raises(StateError, match="seed shape"):
+            ad.backward(root, seed=seed)
+    assert x.grad is None
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +549,21 @@ def _fd_case(name):
         b = ad.Tensor(rng.normal(size=(2, 3)), op="param")
         probe = rng.normal(size=(2, 5))
         return lambda: ad.mul(ad.concat([a, b], axis=1), probe).sum(), [a, b]
+    if name == "matmul_member_axis":
+        x = ad.Tensor(rng.normal(size=(2, 3, 4)), op="param")
+        w = ad.Tensor(rng.normal(size=(2, 4, 2)), op="param")
+        probe = rng.normal(size=(2, 3, 2))
+        return lambda: ad.mul(ad.matmul(x, w), probe).sum(), [x, w]
+    if name == "matmul_shared_operand":
+        x = ad.Tensor(rng.normal(size=(3, 4)), op="param")
+        w = ad.Tensor(rng.normal(size=(2, 4, 2)), op="param")
+        probe = rng.normal(size=(2, 3, 2))
+        return lambda: ad.mul(ad.matmul(x, w), probe).sum(), [x, w]
+    if name == "stack":
+        a = ad.Tensor(rng.normal(size=(2, 3)), op="param")
+        b = ad.Tensor(rng.normal(size=(2, 3)), op="param")
+        probe = rng.normal(size=(2, 2, 3))
+        return lambda: ad.mul(ad.stack([a, b]), probe).sum(), [a, b]
     if name == "mean":
         x = ad.Tensor(rng.normal(size=(3, 4, 2)), op="param")
         return lambda: ad.mul(x.mean(axis=(1, 2)), np.array([1.0, -2.0, 0.5])).sum(), [x]
@@ -486,6 +597,9 @@ def rng2_const(x):
         "log",
         "mul_broadcast",
         "concat",
+        "matmul_member_axis",
+        "matmul_shared_operand",
+        "stack",
         "mean",
         "softmax_cross_entropy",
         "cross_entropy_composed",

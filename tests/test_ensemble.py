@@ -27,9 +27,9 @@ def _batch(arch, n):
 
 def _recorded_probabilities(state, x):
     """The forward with its graph recorded, kept alive until softmax is taken."""
-    logits, _ = ensemble_forward(state, x, train_mode=False)
-    assert all(lg.parents for lg in logits)
-    return np.stack([ad.softmax(lg, axis=-1).data for lg in logits], axis=1)
+    logits = ensemble_forward(state, x, train_mode=False)
+    assert logits.parents
+    return np.stack(list(ad.softmax(logits, axis=-1).data), axis=1)
 
 
 @pytest.mark.parametrize("arch,fusion", [(MLP, "none"), (CNN, "none"), (CNN, "module")])

@@ -4,7 +4,7 @@ import pytest
 
 import mclkit.autodiff as ad
 import mclkit.losses as ls
-from mclkit.data import DatasetSpec, generate_blobs
+from mclkit.data import DatasetSpec, generate_bar_images, generate_blobs
 from mclkit.ensemble import build_ensemble, ensemble_forward
 from mclkit.errors import ConfigurationError, StateError
 from mclkit.models import ArchitectureSpec
@@ -46,8 +46,8 @@ def _one_batch_grads(method, k=1, fusion="none"):
     )
     x = BLOBS.features[:1]
     y = BLOBS.labels[:1]
-    logits, _ = ensemble_forward(state, x, train_mode=True, share_rng=np.random.default_rng(0))
-    probs = [ad.softmax(lg) for lg in logits]
+    logits = ensemble_forward(state, x, train_mode=True, share_rng=np.random.default_rng(0))
+    probs = ad.softmax(logits)
     if method == "smcl":
         terms, v = ls.smcl_loss_terms(probs, ls.one_hot(y, 2), k)
     else:
@@ -193,6 +193,51 @@ def test_thread_cap_does_not_change_results(monkeypatch):
         )
     for (a, b) in zip(*logs):
         assert a == pytest.approx(b, abs=1e-9)
+
+
+BARS = generate_bar_images(DatasetSpec(kind="bars", n_classes=2, per_class=12, size=16, seed=4))
+
+
+@pytest.mark.parametrize("method", ["amcl", "smcl"])
+@pytest.mark.parametrize("arch", ["mlp", "cnn"])
+def test_thread_count_gives_byte_identical_runs(arch, method, monkeypatch, tmp_path):
+    import mclkit.training as training
+
+    if arch == "mlp":
+        data, cfg = BLOBS, _mlp_cfg(method, epochs=5, t_tau=3)
+    else:
+        data, cfg = BARS, _mlp_cfg(method, epochs=3, t_tau=2, batch_size=8, conv_filters=(4, 6, 8))
+    pooled = []
+    member_logits = training._member_logits
+
+    def spy(member, x_np):
+        pooled.append(member.member_index)
+        return member_logits(member, x_np)
+
+    monkeypatch.setattr(training, "_member_logits", spy)
+    runs = []
+    for threads in ("2", "1"):
+        monkeypatch.setenv("AMCL_THREADS", threads)
+        pooled.clear()
+        state, log = train(data, cfg)
+        assert bool(pooled) == (threads == "2")
+        log.to_csv(tmp_path / "log.csv")
+        log.purity_to_csv(tmp_path / "purity.csv")
+        runs.append((
+            (tmp_path / "log.csv").read_bytes(),
+            (tmp_path / "purity.csv").read_bytes(),
+            [p.data.tobytes() for p in state.parameters()],
+        ))
+    assert runs[0] == runs[1]
+
+
+def test_threads_default_to_one(monkeypatch):
+    from mclkit.training import _thread_budget
+
+    monkeypatch.delenv("AMCL_THREADS", raising=False)
+    assert _thread_budget(3) == 1
+    monkeypatch.setenv("AMCL_THREADS", "8")
+    assert _thread_budget(3) == 3
 
 
 def test_invalid_thread_env_rejected(monkeypatch):

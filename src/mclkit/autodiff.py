@@ -8,8 +8,9 @@ add up. Constant and input-batch leaves (``requires_grad`` false) receive no
 gradient: ops record such operands as no parent where they can, and
 ``backward`` drops any contribution that still reaches one. Inside
 ``no_graph()`` ops record nothing, so a forward whose gradient nobody reads
-keeps no activations alive. Ensemble members share one graph through a
-leading member axis (``stack``, and ``matmul`` on [M, n, k] operands).
+keeps no activations alive; inside ``deferred_checks()`` they check no
+finiteness. Ensemble members share one graph through a leading member axis
+(``stack``, and ``matmul`` on [M, n, k] operands).
 Desk-scale by design: no views into shared storage, no dtype zoo, no graph
 rewriting.
 """
@@ -28,10 +29,9 @@ from .errors import ConfigurationError, NumericError, StateError
 # probability saturates at 0.
 EPS_PROB = 1e-12
 
-# Finiteness is an invariant of every forward/backward pass and catches
-# divergence at the op that produced it. Every op output is checked, and so
-# is every gradient that backward accumulates; gradients into constant and
-# input-batch leaves are neither accumulated nor checked.
+# Outside ``deferred_checks()`` every op output, and every gradient backward
+# accumulates into a node other than a constant or input leaf, is checked for
+# finiteness, naming the op that produced a non-finite value. False: no checks.
 FINITE_CHECKS = True
 
 # Leaf ops of tensors that need no gradient: ``as_tensor`` constants and the
@@ -45,15 +45,25 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
 
 class _GraphSwitch(threading.local):
-    """Per-thread graph-recording flag; ``no_graph`` clears it."""
+    """Per-thread flags, cleared by ``no_graph`` and ``deferred_checks``."""
 
     recording = True
+    checking = True
 
 
 _graph = _GraphSwitch()
 
 
 @contextmanager
+def _cleared(flag: str, active: bool = True):
+    previous = getattr(_graph, flag)
+    setattr(_graph, flag, previous and not active)
+    try:
+        yield
+    finally:
+        setattr(_graph, flag, previous)
+
+
 def no_graph():
     """Ops in this block, on this thread, record no parents and no closure.
 
@@ -61,12 +71,13 @@ def no_graph():
     nothing, and every intermediate array is freed as soon as the caller
     drops it. Nests, and restores the previous state on exit or error.
     """
-    previous = _graph.recording
-    _graph.recording = False
-    try:
-        yield
-    finally:
-        _graph.recording = previous
+    return _cleared("recording")
+
+
+def deferred_checks(active: bool = True):
+    """In this block ops and ``backward`` on this thread check no finiteness;
+    ``active=False`` keeps the checks, so a replay names the op. Nests."""
+    return _cleared("checking", active)
 
 
 class Tensor:
@@ -80,7 +91,8 @@ class Tensor:
 
     def __init__(self, data, parents=(), op="leaf", backward_fn=None):
         arr = np.asarray(data, dtype=np.float64)
-        _check_finite(arr, op)
+        if _graph.checking:
+            _check_finite(arr, op)
         self.data = arr
         self.grad = None
         self.op = op
@@ -246,10 +258,9 @@ def matmul(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0
 
     def back(g):
-        return (g * mask,)
+        return (g * (a.data > 0),)
 
     return _make(np.maximum(a.data, 0.0), (a,), "relu", back)
 
@@ -572,11 +583,11 @@ def backward(loss: Tensor, seed=1.0) -> None:
         if node._backward is None:
             continue
         contribs = node._backward(g)
-        where = f"{node.op}.backward"
         for parent, contrib in zip(node.parents, contribs):
             if not parent.requires_grad:
                 continue
-            _check_finite(contrib, where)
+            if _graph.checking:
+                _check_finite(contrib, f"{node.op}.backward")
             prev = local.get(id(parent))
             local[id(parent)] = contrib if prev is None else prev + contrib
 

@@ -517,6 +517,8 @@ def load_checkpoint(path: str):
         counter = AssignmentCounter(
             counts=counts, epochs_accumulated=epochs, frozen=bool(frozen_flag)
         )
+    if reader.off != len(reader.raw):
+        raise FormatError(f"{path}: trailing bytes at byte {reader.off}")
 
     return EnsembleState(
         method=header["method"],

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .fusion import FusionModule, feature_share
 from .losses import AssignmentCounter, SpecializationMatrix
 from .models import ArchitectureSpec, MemberModel, build_member, mlp_forward, mlp_layers
@@ -128,12 +128,23 @@ def member_probabilities(state: EnsembleState, features, batch_size: int = 512) 
     Each chunk runs the ordinary forward under ``no_graph``: the arithmetic
     is that of a training forward, but no graph is recorded, so activations
     are freed once the next layer has consumed them (per-member taps, where
-    the forward takes them, live until every member has continued).
+    the forward takes them, live until every member has continued). Only the
+    probabilities are checked; a failing chunk reruns with per-op checks.
     """
+    def chunk_probs(chunk, deferred):
+        with ad.deferred_checks(deferred):
+            probs = ad.softmax(ensemble_forward(state, chunk, train_mode=False), axis=-1).data
+        ad._check_finite(probs, "probabilities")
+        return probs.transpose(1, 0, 2)
+
     chunks = []
     n = features.shape[0]
     with ad.no_graph():
         for start in range(0, n, batch_size):
-            logits = ensemble_forward(state, features[start : start + batch_size], train_mode=False)
-            chunks.append(ad.softmax(logits, axis=-1).data.transpose(1, 0, 2))
+            chunk = features[start : start + batch_size]
+            try:
+                chunks.append(chunk_probs(chunk, deferred=True))
+            except NumericError:
+                chunk_probs(chunk, deferred=False)
+                raise
     return np.concatenate(chunks, axis=0)

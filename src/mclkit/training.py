@@ -7,7 +7,8 @@ default is 1), the members' forward and backward passes instead run on a
 thread pool: their logits meet in one detached [M, B, C] leaf, the
 objective back-propagates into it, and each member back-propagates its own
 slice. Every member's arithmetic is the same either way, so the thread
-count never changes a result.
+count never changes a result. Steps run under ``autodiff.deferred_checks`` and
+are checked once; a failing one is replayed with per-op checks to name the op.
 """
 from __future__ import annotations
 
@@ -163,6 +164,36 @@ def _objective_terms(state, cfg, epoch, probs, y):
     return terms, v, phase
 
 
+def _step(state, cfg, epoch, x, y, share_rng, pool, held, deferred):
+    """Forward, objective, backward and finite checks of one batch, as arrays.
+    ``held`` keeps the last step's graph until this step's objective replaces
+    it: a graph freed at its step's end is faulted back in by the next step."""
+    def on_pool(fn):
+        def run(m):
+            with ad.deferred_checks(deferred):
+                return fn(m)
+        return list(pool.map(run, range(cfg.members)))
+
+    with ad.deferred_checks(deferred):
+        if pool is not None:
+            member_logits = on_pool(lambda m: _member_logits(state.members[m], x))
+            logits = ad.Tensor(np.stack([lg.data for lg in member_logits]))
+        else:
+            logits = ensemble_forward(state, x, train_mode=True, share_rng=share_rng)
+        probs = ad.softmax(logits, axis=-1)
+        terms, v, phase = _objective_terms(state, cfg, epoch, probs, y)
+        held[:] = [terms]
+        ad.backward(losses._total(terms), seed=1.0 / len(y))
+        if pool is not None:
+            on_pool(lambda m: ad.backward(member_logits[m], seed=logits.grad[m]))
+    ad._check_finite(terms.data, "terms")
+    ad._check_finite(logits.data, "logits")
+    for p in state.parameters():
+        if p.grad is not None:
+            ad._check_finite(p.grad, "gradient")
+    return probs.data, terms.data, v, phase
+
+
 def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     """Train an ensemble; returns (EnsembleState, TrainLog).
 
@@ -209,6 +240,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     labels = dataset.labels.astype(np.int64)
     n = len(dataset)
     train_log = TrainLog()
+    held = []
 
     try:
         for epoch in range(1, cfg.epochs + 1):
@@ -221,22 +253,16 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 x, y = features[idx], labels[idx]
+                step = (state, cfg, epoch, x, y, share_rng, pool, held)
+                rng_state = share_rng.bit_generator.state
                 try:
-                    if parallel:
-                        member_logits = list(
-                            pool.map(lambda m: _member_logits(state.members[m], x), range(cfg.members))
-                        )
-                        logits = ad.Tensor(np.stack([lg.data for lg in member_logits]))
-                    else:
-                        logits = ensemble_forward(state, x, train_mode=True, share_rng=share_rng)
-                    probs = ad.softmax(logits, axis=-1)
-                    terms, v, phase = _objective_terms(state, cfg, epoch, probs, y)
-                    ad.backward(losses._total(terms), seed=1.0 / len(idx))
-                    if parallel:
-                        list(pool.map(
-                            lambda m: ad.backward(member_logits[m], seed=logits.grad[m]),
-                            range(cfg.members),
-                        ))
+                    try:
+                        probs, terms, v, phase = _step(*step, deferred=True)
+                    except NumericError:
+                        optimizer.zero_grad()
+                        share_rng.bit_generator.state = rng_state
+                        _step(*step, deferred=False)
+                        raise
                     optimizer.step()
                     optimizer.zero_grad()
                 except NumericError as exc:
@@ -244,12 +270,12 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
                         f"epoch {epoch}, batch at example {start}: {exc}"
                     ) from exc
 
-                loss_sum += sum(terms.data.tolist())
+                loss_sum += sum(terms.tolist())
                 np.add.at(epoch_counts, y, v)
                 if state.method == "amcl" and epoch <= cfg.t_tau:
                     losses.accumulate_counts(state.counter, v, y)
 
-                stacked = np.ascontiguousarray(probs.data.transpose(1, 0, 2))
+                stacked = np.ascontiguousarray(probs.transpose(1, 0, 2))
                 stripped = strip_auxiliary(stacked) if state.has_aux else stacked
                 per_model_pred = stripped.argmax(axis=2)
                 all_wrong += int((per_model_pred != y[:, None]).all(axis=1).sum())

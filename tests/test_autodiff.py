@@ -453,6 +453,83 @@ def test_backward_rejects_seed_of_another_shape():
 
 
 # ---------------------------------------------------------------------------
+# deferred finite checks
+# ---------------------------------------------------------------------------
+
+def _checks_on() -> bool:
+    try:
+        ad.Tensor([np.nan])
+    except NumericError:
+        return True
+    return False
+
+
+def test_deferred_checks_nest_and_are_restored_after_an_error():
+    assert _checks_on()
+    with pytest.raises(ConfigurationError):
+        with ad.deferred_checks():
+            assert not _checks_on()
+            ad.matmul(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0]))
+    assert _checks_on()
+    with ad.deferred_checks():
+        with ad.deferred_checks():
+            assert not _checks_on()
+        with ad.deferred_checks(False):
+            assert not _checks_on()
+        assert not _checks_on()
+    with ad.deferred_checks(False):
+        assert _checks_on()
+    assert _checks_on()
+
+
+def test_deferred_checks_are_thread_local():
+    import threading
+
+    entered, release = threading.Event(), threading.Event()
+    inside = {}
+
+    def deferred_worker():
+        with ad.deferred_checks():
+            entered.set()
+            release.wait(timeout=10)
+            inside["on"] = _checks_on()
+
+    worker = threading.Thread(target=deferred_worker)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        assert _checks_on()
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert inside == {"on": False}
+
+
+def test_deferred_checks_skip_op_and_gradient_checks():
+    # The overflowing gradient of test_backward_still_checks_gradients_into_parameters
+    # is not checked inside the scope; it is left for the caller to find.
+    x = ad.Tensor([1e200])
+    c = ad.Tensor([1e-200], op="param")
+    with np.errstate(over="ignore"), ad.deferred_checks():
+        (ad.mul(x, c) * 1e200).sum().backward()
+    assert not np.isfinite(c.grad).all()
+
+
+def test_neg_inf_absorbed_by_relu_raises_only_outside_the_scope():
+    # The one behaviour the scope changes: a non-finite value that is dropped
+    # before anything reads it no longer raises.
+    x = ad.Tensor([1e200, 1.0], op="param")
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="op 'mul'"):
+            ad.relu(ad.mul(x, -1e200))
+        with ad.deferred_checks():
+            out = ad.relu(ad.mul(x, -1e200))
+            out.sum().backward()
+    assert np.array_equal(out.data, [0.0, 0.0])
+    assert np.array_equal(x.grad, [0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
 # no-graph evaluation
 # ---------------------------------------------------------------------------
 

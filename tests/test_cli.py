@@ -224,3 +224,29 @@ def test_eval_checkpoint_with_missing_header_key_exits_2(trained_run, tmp_path):
     )
     assert result.exit_code == 2
     assert "arch.kind" in result.output
+
+
+def test_eval_checkpoint_with_trailing_bytes_exits_2(trained_run, tmp_path):
+    ckpt = tmp_path / "checkpoint.amc1"
+    ckpt.write_bytes((trained_run / "checkpoint.amc1").read_bytes() + b"junk")
+    result = CliRunner().invoke(
+        main,
+        ["eval", "--checkpoint", str(ckpt), "--dataset", BLOB_SPEC, "--out", str(tmp_path / "e")],
+    )
+    assert result.exit_code == 2
+    assert "trailing bytes" in result.output
+
+
+def test_train_nonfinite_run_exits_3_naming_the_op(tmp_path):
+    # A learning rate of 1e300 overflows the first layer's matmul on the
+    # second batch; the deferred step check sees the non-finite terms and
+    # the replay names the op.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = CliRunner().invoke(
+            main,
+            ["train", "--method", "amcl", "--dataset", "blobs:classes=4,per_class=32,dim=16",
+             "--members", "2", "--epochs", "3", "--t-tau", "1", "--lr", "1e300",
+             "--arch", "mlp", "--out", str(tmp_path / "run")],
+        )
+    assert result.exit_code == 3
+    assert "epoch 1, batch at example 64: non-finite values produced by op 'matmul'" in result.output

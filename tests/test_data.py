@@ -281,6 +281,16 @@ def test_checkpoint_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "ckpt.amc1"
+    save_checkpoint(_small_state(), path)
+    size = path.stat().st_size
+    with open(path, "ab") as f:
+        f.write(b"junk")
+    with pytest.raises(FormatError, match=rf"ckpt\.amc1: trailing bytes at byte {size}"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_write_is_atomic(tmp_path):
     # the temp file never lingers and the final file parses
     state = _small_state()

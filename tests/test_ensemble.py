@@ -6,6 +6,7 @@ import pytest
 
 import mclkit.autodiff as ad
 from mclkit.ensemble import build_ensemble, ensemble_forward, member_probabilities
+from mclkit.errors import NumericError
 from mclkit.models import ArchitectureSpec
 
 RNG = np.random.default_rng(515)
@@ -58,3 +59,11 @@ def test_member_probabilities_peak_memory_under_half_of_recorded_forward(fusion)
     free = _peak_bytes(lambda: member_probabilities(state, x))
     recorded = _peak_bytes(lambda: _recorded_probabilities(state, x))
     assert free < 0.5 * recorded
+
+
+@pytest.mark.parametrize("arch,param,op", [(MLP, "dense2.w", "stack"), (CNN, "conv2.w", "conv2d")])
+def test_member_probabilities_names_the_op_of_a_nonfinite_chunk(arch, param, op):
+    state = _ensemble(arch, "none")
+    state.members[1].params[param].data[0, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=f"op '{op}'"):
+        member_probabilities(state, _batch(arch, 6), batch_size=4)

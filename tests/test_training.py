@@ -6,7 +6,7 @@ import mclkit.autodiff as ad
 import mclkit.losses as ls
 from mclkit.data import DatasetSpec, generate_bar_images, generate_blobs
 from mclkit.ensemble import build_ensemble, ensemble_forward
-from mclkit.errors import ConfigurationError, StateError
+from mclkit.errors import ConfigurationError, NumericError, StateError
 from mclkit.models import ArchitectureSpec
 from mclkit.training import TrainConfig, freeze_specialization, resolve_architecture, train
 
@@ -298,3 +298,73 @@ def test_train_log_csv_round_trip(tmp_path):
     rows = purity.read_text().splitlines()
     assert rows[0] == "epoch,class,model,count,ratio"
     assert len(rows) == 1 + 5 * 2 * 2
+
+
+# ---------------------------------------------------------------------------
+# deferred finite checks
+# ---------------------------------------------------------------------------
+
+def _failing_run(arch, param, value):
+    """Train until ``on_epoch`` corrupts one parameter after epoch 1; the message."""
+    if arch == "mlp":
+        data, cfg = BLOBS, _mlp_cfg("amcl", epochs=3, t_tau=2)
+    else:
+        data, cfg = BARS, _mlp_cfg("amcl", epochs=3, t_tau=2, batch_size=8, conv_filters=(4, 6, 8))
+
+    def corrupt(epoch, state, record):
+        if epoch == 1:
+            state.members[1].params[param].data[...] = value
+
+    with pytest.raises(NumericError) as err:
+        train(data, cfg, on_epoch=corrupt)
+    return str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "arch,param,value,op",
+    [
+        # MLP parameters are stacked over the member axis before the matmul.
+        ("mlp", "dense1.w", np.nan, "stack"),
+        ("mlp", "dense1.w", 1e308, "matmul"),
+        ("cnn", "conv1.w", np.nan, "conv2d"),
+    ],
+)
+def test_nonfinite_parameter_names_the_same_op_as_per_op_checks(
+    arch, param, value, op, threads, monkeypatch
+):
+    from contextlib import nullcontext
+
+    monkeypatch.setenv("AMCL_THREADS", threads)
+    deferred = _failing_run(arch, param, value)
+    # Per-op checks everywhere: the scope never defers anything.
+    monkeypatch.setattr(ad, "deferred_checks", lambda active=True: nullcontext())
+    assert _failing_run(arch, param, value) == deferred
+    assert deferred == f"epoch 2, batch at example 0: non-finite values produced by op '{op}'"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(threads, monkeypatch):
+    import mclkit.training as training
+
+    monkeypatch.setenv("AMCL_THREADS", threads)
+    labels = []
+    check = ad._check_finite
+
+    def counting(arr, op):
+        labels.append(op)
+        check(arr, op)
+
+    built = training.build_ensemble
+
+    def build_then_count(**kw):
+        state = built(**kw)
+        labels.clear()  # parameter initialization is not part of the step
+        return state
+
+    monkeypatch.setattr(ad, "_check_finite", counting)
+    monkeypatch.setattr(training, "build_ensemble", build_then_count)
+    state, _ = train(BLOBS, _mlp_cfg("amcl", members=3, epochs=1, t_tau=1, batch_size=len(BLOBS)))
+    assert len(state.parameters()) == 18
+    assert sorted(labels) == sorted(["terms", "logits"] + ["gradient"] * 18)

@@ -16,6 +16,7 @@ rewriting.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from contextlib import contextmanager
@@ -33,6 +34,26 @@ EPS_PROB = 1e-12
 # accumulates into a node other than a constant or input leaf, is checked for
 # finiteness, naming the op that produced a non-finite value. False: no checks.
 FINITE_CHECKS = True
+
+# C-heap policy (glibc only). An evaluation chunk's activations are blocks of
+# 8 MiB and more that live for an op or two. Once one is freed, glibc's dynamic
+# mmap threshold rises and later ones grow the brk heap, whose freed pages stay
+# resident in a layout set by allocation order: peak RSS differed by tens of
+# MiB between runs. Pin the threshold; ``release_heap`` returns free pages.
+MMAP_THRESHOLD = 8 << 20
+try:
+    _libc = ctypes.CDLL(None)
+    _libc.mallopt(-3, MMAP_THRESHOLD)  # -3 is M_MMAP_THRESHOLD in <malloc.h>
+    _malloc_trim = _libc.malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def release_heap() -> None:
+    """Return every free page of the C heap to the OS (glibc ``malloc_trim``)."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
 
 # Leaf ops of tensors that need no gradient: ``as_tensor`` constants and the
 # training batches.

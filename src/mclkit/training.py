@@ -300,5 +300,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     finally:
         if pool is not None:
             pool.shutdown()
+        held.clear()
+        ad.release_heap()
 
     return state, train_log

@@ -368,3 +368,19 @@ def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(threads, mo
     state, _ = train(BLOBS, _mlp_cfg("amcl", members=3, epochs=1, t_tau=1, batch_size=len(BLOBS)))
     assert len(state.parameters()) == 18
     assert sorted(labels) == sorted(["terms", "logits"] + ["gradient"] * 18)
+
+
+@pytest.mark.parametrize("available", [True, False])
+def test_train_trims_the_heap_once_after_dropping_the_last_graph(available, monkeypatch):
+    import gc
+
+    calls = []
+
+    def spy(pad):
+        gc.collect()
+        live_graph = [o for o in gc.get_objects() if isinstance(o, ad.Tensor) and o.parents]
+        calls.append((pad, len(live_graph)))
+
+    monkeypatch.setattr(ad, "_malloc_trim", spy if available else None)
+    train(BLOBS, _mlp_cfg("amcl", epochs=2, t_tau=1))
+    assert calls == ([(0, 0)] if available else [])

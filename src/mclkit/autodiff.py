@@ -9,10 +9,10 @@ gradient: ops record such operands as no parent where they can, and
 ``backward`` drops any contribution that still reaches one. Inside
 ``no_graph()`` ops record nothing, so a forward whose gradient nobody reads
 keeps no activations alive; inside ``deferred_checks()`` they check no
-finiteness. Ensemble members share one graph through a leading member axis
-(``stack``, and ``matmul`` on [M, n, k] operands).
-Desk-scale by design: no views into shared storage, no dtype zoo, no graph
-rewriting.
+finiteness. Ensemble members share one graph through a leading member axis:
+parameters are stored [M, …], ``matmul`` takes [M, n, k] operands, ``take``
+reads one member's slot and ``stack`` joins per-member results.
+Desk-scale by design: no dtype zoo, no graph rewriting.
 """
 from __future__ import annotations
 
@@ -73,6 +73,7 @@ class _GraphSwitch(threading.local):
 
 
 _graph = _GraphSwitch()
+_grad_lock = threading.Lock()  # member threads' passes share the [M, …] parameter leaves
 
 
 @contextmanager
@@ -354,6 +355,21 @@ def concat(tensors, axis=0) -> Tensor:
     return _make_pruned(out, ts, "concat", [part(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
 
 
+def take(a, m: int) -> Tensor:
+    """Slot ``m`` of the leading (member) axis, as a view; zero gradient elsewhere.
+    Not finite-checked: a stored slot that is not finite is named by its consumer."""
+    a = as_tensor(a)
+
+    def back(g):
+        full = np.zeros_like(a.data)
+        full[m] = g
+        return (full,)
+
+    back.slot = m  # ``backward`` writes the slot itself
+    with _cleared("checking"):
+        return _make(a.data[m], (a,), "take", back)
+
+
 def stack(tensors) -> Tensor:
     """Equally shaped tensors joined along a new leading (member) axis."""
     ts = [as_tensor(t) for t in tensors]
@@ -385,7 +401,8 @@ def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
     Computed as im2col + one GEMM (Chellapilla et al. 2006): the input is
     padded once into an NHWC buffer whose kh*kw shifted windows form the
     [B*H*W, kh*kw*C] patch matrix. The op keeps the padded input, not the
-    patch matrix, and backward rebuilds the matrix from it. An input that
+    patch matrix, and backward rebuilds the matrix from it (a 1x1 kernel pads
+    nothing and keeps a view of the input). An input that
     needs no gradient (a constant or input batch) is not recorded as a
     parent, and no input gradient is computed for it.
     """
@@ -409,8 +426,11 @@ def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
         raise ConfigurationError("conv2d bias must have one entry per filter")
 
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((bsz, h + 2 * ph, wd + 2 * pw, cin))
-    xp[:, ph : ph + h, pw : pw + wd] = x.data.transpose(0, 2, 3, 1)
+    if ph == pw == 0:  # a 1x1 kernel reads the input unpadded, as an NHWC view
+        xp = x.data.transpose(0, 2, 3, 1)
+    else:
+        xp = np.zeros((bsz, h + 2 * ph, wd + 2 * pw, cin))
+        xp[:, ph : ph + h, pw : pw + wd] = x.data.transpose(0, 2, 3, 1)
     wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, f)
     out = _im2col(xp, kh, kw) @ wmat
     if bt is not None:
@@ -582,7 +602,8 @@ def backward(loss: Tensor, seed=1.0) -> None:
     (the gradient of some later loss with respect to it). The pass
     propagates pass-local gradients, so calling backward twice without
     zeroing doubles every grad exactly. Contributions to parents that need
-    no gradient (constants, input batches) are dropped unchecked.
+    no gradient (constants, input batches) are dropped unchecked. Passes on
+    several threads may share nodes: each grad slot is updated under a lock.
     """
     if np.ndim(seed) == 0:
         if loss.data.size != 1:
@@ -596,21 +617,32 @@ def backward(loss: Tensor, seed=1.0) -> None:
             )
     order = topo_order(loss)
     local: dict[int, np.ndarray] = {id(loss): start}
+    owned: set[int] = set()  # parents whose local sum this pass allocated
     for node in reversed(order):
         g = local.pop(id(node), None)
         if g is None:
             continue
-        node.grad = g if node.grad is None else node.grad + g
+        with _grad_lock:
+            node.grad = g if node.grad is None else node.grad + g
         if node._backward is None:
             continue
-        contribs = node._backward(g)
+        # ``take`` hands over its slot, written into one zero buffer per
+        # parent, rather than a full-shape array per member to be summed.
+        slot = getattr(node._backward, "slot", None)
+        contribs = node._backward(g) if slot is None else (g,)
         for parent, contrib in zip(node.parents, contribs):
             if not parent.requires_grad:
                 continue
             if _graph.checking:
                 _check_finite(contrib, f"{node.op}.backward")
-            prev = local.get(id(parent))
-            local[id(parent)] = contrib if prev is None else prev + contrib
+            pid, prev = id(parent), local.get(id(parent))
+            if slot is None:
+                local[pid] = contrib if prev is None else prev + contrib
+                continue
+            if pid not in owned:
+                prev = local[pid] = np.zeros_like(parent.data) if prev is None else prev.copy()
+                owned.add(pid)
+            prev[slot] += contrib
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +665,10 @@ class SgdConfig:
 
 
 def sgd_step(params, grads, cfg: SgdConfig, buffers=None):
-    """One SGD update: p <- p - lr * buf, buf <- momentum * buf + grad + wd * p.
+    """One SGD update, in place: buf <- momentum * buf + grad + wd * p, p <- p - lr * buf.
 
     Returns the (updated) momentum buffers so callers can thread them
-    through successive steps.
+    through successive steps. The grads are only read.
     """
     params = list(params)
     grads = list(grads)
@@ -645,10 +677,17 @@ def sgd_step(params, grads, cfg: SgdConfig, buffers=None):
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             raise StateError("sgd_step with a missing gradient; run backward first")
+        # A transposed parameter is made C-contiguous, as an out-of-place
+        # update left it: a matmul's bits depend on its operands' layout.
+        if not p.data.flags.c_contiguous:
+            p.data = np.ascontiguousarray(p.data)
         d = g + cfg.weight_decay * p.data if cfg.weight_decay else g
-        buf = d if buffers[i] is None else cfg.momentum * buffers[i] + d
-        buffers[i] = buf
-        p.data = p.data - cfg.learning_rate * buf
+        if buffers[i] is None:
+            buffers[i] = np.array(d)  # a copy: without weight decay d is the caller's grad
+        else:
+            buffers[i] *= cfg.momentum
+            buffers[i] += d
+        p.data -= cfg.learning_rate * buffers[i]
     return buffers
 
 

@@ -4,8 +4,8 @@ All reports are plain CSV so runs can be diffed byte-for-byte; nothing in
 the output depends on wall-clock time. Exit codes: 0 success, 1 partial
 failure (compare sub-run failed), 2 usage or configuration error, 3 numeric
 failure. The AMCL_THREADS environment variable sets how many threads run
-the members' forward and backward passes (default 1: all members in one
-member-axis graph).
+the CNN members' conv trunks (default 1: all members in one graph; MLP
+members always share one member-axis graph).
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import click
+import numpy as np
 
 from .autodiff import SgdConfig
 from .data import (
@@ -160,8 +161,11 @@ def _summary_rows(cfg: ExperimentConfig, state, log) -> tuple:
 
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Desk-scale multiple-choice-learning experiment runner."""
+    # A diverging run ends as a NumericError naming the op, not numpy warnings.
+    ctx.with_resource(np.errstate(over="ignore", invalid="ignore", divide="ignore"))
 
 
 @main.command("train")

@@ -431,12 +431,13 @@ def save_checkpoint(state, path: str) -> None:
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint back into an EnsembleState; bit-exact round trip."""
+    """Read a checkpoint back into an EnsembleState; bit-exact round trip.
+    Every tensor's shape and finiteness is checked before the members' are stacked."""
     from . import autodiff as ad
     from .ensemble import EnsembleState
     from .fusion import FusionModule
     from .losses import AssignmentCounter, SpecializationMatrix
-    from .models import ArchitectureSpec, build_member
+    from .models import ArchitectureSpec, layer_shapes, stack_layers
 
     with open(path, "rb") as f:
         reader = _Reader(f.read(), str(path))
@@ -463,8 +464,6 @@ def load_checkpoint(path: str):
         hidden_sizes=tuple(header["arch"]["hidden_sizes"]),
         aux_class=header["arch"]["aux_class"],
     )
-    members = [build_member(arch, m, header["seed"]) for m in range(header["members"])]
-
     (n_tensors,) = reader.unpack("<I")
     loaded: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
@@ -476,23 +475,30 @@ def load_checkpoint(path: str):
         payload = reader.take(8 * count)
         loaded[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
 
+    def tensor(key, shape):
+        arr = loaded.get(key)
+        if arr is None:
+            raise FormatError(f"{path}: missing tensor {key}")
+        if arr.shape != tuple(shape):
+            raise FormatError(f"{path}: tensor {key} has shape {arr.shape}, expected {tuple(shape)}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {key} holds non-finite values")
+        return arr
+
+    if header["members"] < 1:
+        raise FormatError(f"{path}: header key 'members' is not positive")
+    shapes = layer_shapes(arch)
+    layers = stack_layers(arch, [
+        {name: tensor(f"member{m}/{name}", shape) for name, shape in shapes.items()}
+        for m in range(header["members"])
+    ])
     fusion = None
     if header["fusion_mode"] == "module":
         fusion = FusionModule(
             members=header["members"], tap_shape=arch.tap_shape, seed=header["seed"]
         )
-    for m, member in enumerate(members):
-        for name in member.params:
-            key = f"member{m}/{name}"
-            if key not in loaded:
-                raise FormatError(f"{path}: missing tensor {key}")
-            member.params[name] = ad.Tensor(loaded[key], op="param")
-    if fusion is not None:
-        for name in fusion.params:
-            key = f"fusion/{name}"
-            if key not in loaded:
-                raise FormatError(f"{path}: missing tensor {key}")
-            fusion.params[name] = ad.Tensor(loaded[key], op="param")
+        for name, t in fusion.params.items():
+            fusion.params[name] = ad.Tensor(tensor(f"fusion/{name}", t.shape), op="param")
 
     (has_spec,) = reader.unpack("<B")
     specialization = None
@@ -522,7 +528,7 @@ def load_checkpoint(path: str):
 
     return EnsembleState(
         method=header["method"],
-        members=members,
+        layers=layers,
         fusion=fusion,
         fusion_mode=header["fusion_mode"],
         arch=arch,

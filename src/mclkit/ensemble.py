@@ -1,4 +1,5 @@
-"""Ensemble state: member models, optional fusion, and assignment memory."""
+"""Ensemble state: the member-axis layers and their member views, optional
+fusion, and assignment memory."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -9,7 +10,7 @@ from . import autodiff as ad
 from .errors import ConfigurationError, NumericError
 from .fusion import FusionModule, feature_share
 from .losses import AssignmentCounter, SpecializationMatrix
-from .models import ArchitectureSpec, MemberModel, build_member, mlp_forward, mlp_layers
+from .models import ArchitectureSpec, MemberModel, init_member, mlp_layers, stack_layers
 
 METHODS = ("ie", "smcl", "cmcl", "amcl")
 FUSION_MODES = ("none", "module", "share")
@@ -17,8 +18,10 @@ FUSION_MODES = ("none", "module", "share")
 
 @dataclass
 class EnsembleState:
+    """``layers`` maps each layer to its [M, …] parameter tensor; ``members`` view its slots."""
+
     method: str
-    members: list
+    layers: dict
     fusion: FusionModule | None
     fusion_mode: str
     arch: ArchitectureSpec
@@ -31,6 +34,11 @@ class EnsembleState:
     seed: int
     counter: AssignmentCounter | None = None
     specialization: SpecializationMatrix | None = None
+    members: list = field(init=False)
+
+    def __post_init__(self):
+        count = next(iter(self.layers.values())).shape[0]
+        self.members = [MemberModel(self.arch, self.layers, m) for m in range(count)]
 
     @property
     def has_aux(self) -> bool:
@@ -43,7 +51,7 @@ class EnsembleState:
         return "lba"
 
     def parameters(self) -> list:
-        params = [p for member in self.members for p in member.parameters()]
+        params = list(self.layers.values())
         if self.fusion is not None:
             params.extend(self.fusion.parameters())
         return params
@@ -71,14 +79,14 @@ def build_ensemble(
         raise ConfigurationError(
             f"K must satisfy 1 <= K <= M (got K={overlap_k}, M={members})"
         )
-    model_list = [build_member(arch, m, seed) for m in range(members)]
+    layers = stack_layers(arch, [init_member(arch, m, seed) for m in range(members)])
     fusion = None
     if fusion_mode == "module":
         fusion = FusionModule(members=members, tap_shape=arch.tap_shape, seed=seed)
     counter = AssignmentCounter.empty(arch.n_classes, members) if method == "amcl" else None
     return EnsembleState(
         method=method,
-        members=model_list,
+        layers=layers,
         fusion=fusion,
         fusion_mode=fusion_mode,
         arch=arch,
@@ -97,9 +105,9 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     """Forward every member; returns member-major logits [M, B, C].
 
     MLP members run together, one member-axis matmul per dense layer. CNN
-    conv trunks run per member, and their logits are stacked. Fusion needs
-    all member taps before any member continues, so with a fusion stage the
-    taps are taken per member and routed through it. Feature sharing only
+    conv trunks run per member on its slots of the layers, and their logits
+    are stacked. Fusion needs all member taps before any member continues,
+    so with a fusion stage the taps are taken per member and routed through it. Feature sharing only
     shuffles during training; at inference the members keep their own
     features.
     """
@@ -107,7 +115,8 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     mlp = state.arch.kind == "mlp"
     mixes = state.fusion_mode == "module" or (state.fusion_mode == "share" and train_mode)
     if mlp and not mixes:
-        return mlp_forward(state.members, x)
+        state.members[0]._check_batch(x)
+        return mlp_layers(state.arch, state.layers.__getitem__, x, 1)
     taps = [member.forward_to_tap(x) for member in state.members]
     if state.fusion_mode == "module":
         feats = state.fusion.member_features(taps)
@@ -118,7 +127,7 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     else:
         feats = taps
     if mlp:
-        return mlp_layers(state.members, ad.stack(feats), 2)
+        return mlp_layers(state.arch, state.layers.__getitem__, ad.stack(feats), 2)
     return ad.stack([member.forward_from_tap(f) for member, f in zip(state.members, feats)])
 
 

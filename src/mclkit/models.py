@@ -4,10 +4,15 @@ Two families are provided: a small three-conv CNN for image data and an MLP
 for flat synthetic data. Both expose the features computed just before the
 first pooling layer (first hidden layer for MLPs) so a fusion stage can
 combine them across members.
+
+The ensemble owns each layer's weight and bias as one ``param`` tensor with
+a leading member axis [M, …] (the BatchEnsemble layout, Wen et al. 2020).
+MLP layers run every member in one member-axis matmul; a ``MemberModel`` is
+a view of one member, whose CNN trunk reads its slots through ``take``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,21 +80,65 @@ def _he_uniform(rng: np.random.Generator, shape, fan_in: int, scale=1.0) -> np.n
     return rng.uniform(-bound, bound, size=shape)
 
 
-@dataclass
+def layer_shapes(spec: ArchitectureSpec) -> dict:
+    """One member's parameter names, in checkpoint order, and their shapes."""
+    if spec.kind == "simple_cnn":
+        cin, h, w = spec.input_shape
+        f = (cin, *spec.conv_filters)
+        weights = [(f"conv{i}", (f[i], f[i - 1], 3, 3)) for i in (1, 2, 3)]
+        weights.append(("fc", (f[3] * (h // 8) * (w // 8), spec.output_dim)))
+    else:
+        widths = (spec.flat_input_dim, *spec.hidden_sizes, spec.output_dim)
+        names = [f"dense{i}" for i in range(1, len(widths) - 1)] + ["head"]
+        weights = list(zip(names, zip(widths, widths[1:])))
+    shapes = {}
+    for name, shape in weights:  # a bias has one entry per conv filter or dense output
+        shapes[f"{name}.w"], shapes[f"{name}.b"] = shape, (shape[0 if len(shape) == 4 else 1],)
+    return shapes
+
+
+def init_member(spec: ArchitectureSpec, member_index: int, seed: int) -> dict:
+    """One member's initial parameter arrays, seeded from (seed, member_index)."""
+    rng = np.random.default_rng([seed, member_index])
+    arrays = {}
+    for name, shape in layer_shapes(spec).items():
+        if name.endswith(".b"):
+            arrays[name] = np.zeros(shape)
+        else:
+            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+            scale = HEAD_INIT_SCALE if name.startswith(("fc.", "head.")) else 1.0
+            arrays[name] = _he_uniform(rng, shape, fan_in, scale)
+    return arrays
+
+
+def stack_layers(spec: ArchitectureSpec, members: list) -> dict:
+    """The ensemble-owned [M, …] ``param`` tensors of the members' arrays;
+    MLP biases are [M, 1, out], so they add to [M, B, out] as stored."""
+    layers = {}
+    for name in layer_shapes(spec):
+        data = np.stack([arrays[name] for arrays in members])
+        if spec.kind == "mlp" and name.endswith(".b"):
+            data = data.reshape(len(members), 1, -1)
+        layers[name] = ad.Tensor(data, op="param")
+    return layers
+
+
 class MemberModel:
-    """One ensemble member: named parameter tensors plus the forward recipe."""
+    """Member ``member_index`` of an ensemble: a view of its slot in every layer.
 
-    spec: ArchitectureSpec
-    member_index: int
-    params: dict = field(default_factory=dict)
-    tap_point: str = ""
+    ``layers`` are the ensemble-owned [M, …] tensors, where gradients land.
+    ``params[name].data`` is a writable view of this member's slot.
+    """
 
-    @property
-    def output_dim(self) -> int:
-        return self.spec.output_dim
+    def __init__(self, spec: ArchitectureSpec, layers: dict, member_index: int):
+        self.spec, self.layers, self.member_index = spec, layers, member_index
+        self.params = {
+            name: ad.Tensor(layers[name].data[member_index].reshape(shape), op="param")
+            for name, shape in layer_shapes(spec).items()
+        }
 
-    def parameters(self) -> list:
-        return list(self.params.values())
+    def _slot(self, name: str) -> ad.Tensor:
+        return ad.take(self.layers[name], self.member_index)
 
     # -- forward ---------------------------------------------------------
     def _check_batch(self, x: ad.Tensor) -> None:
@@ -108,10 +157,9 @@ class MemberModel:
     def forward_to_tap(self, x) -> ad.Tensor:
         x = ad.as_tensor(x)
         self._check_batch(x)
-        p = self.params
         if self.spec.kind == "simple_cnn":
-            return ad.relu(ad.conv2d(x, p["conv1.w"], p["conv1.b"]))
-        return _single(mlp_layers([self], _flat(x), 1, 1))
+            return ad.relu(ad.conv2d(x, self._slot("conv1.w"), self._slot("conv1.b")))
+        return mlp_layers(self.spec, self._slot, x, 1, 1)
 
     def forward_from_tap(self, tap) -> ad.Tensor:
         tap = ad.as_tensor(tap)
@@ -120,14 +168,14 @@ class MemberModel:
             raise ConfigurationError(
                 f"tap feature shape {tuple(tap.shape[1:])} does not match {expected}"
             )
-        p = self.params
+        p = self._slot
         if self.spec.kind == "simple_cnn":
             h = ad.maxpool2x2(tap)
-            h = ad.maxpool2x2(ad.relu(ad.conv2d(h, p["conv2.w"], p["conv2.b"])))
-            h = ad.maxpool2x2(ad.relu(ad.conv2d(h, p["conv3.w"], p["conv3.b"])))
+            h = ad.maxpool2x2(ad.relu(ad.conv2d(h, p("conv2.w"), p("conv2.b"))))
+            h = ad.maxpool2x2(ad.relu(ad.conv2d(h, p("conv3.w"), p("conv3.b"))))
             h = ad.reshape(h, (h.shape[0], -1))
-            return ad.dense(h, p["fc.w"], p["fc.b"])
-        return _single(mlp_layers([self], tap, 2))
+            return ad.dense(h, p("fc.w"), p("fc.b"))
+        return mlp_layers(self.spec, p, tap, 2)
 
     def forward(self, x, injected_features=None):
         """Run the member; returns (logits, own tap features).
@@ -140,75 +188,32 @@ class MemberModel:
         return self.forward_from_tap(source), tap
 
 
-def mlp_layers(members, h, first: int, last: int | None = None) -> ad.Tensor:
-    """Dense layers ``first``..``last`` of MLP members, one member-axis matmul each.
+def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor:
+    """Dense layers ``first``..``last`` of an MLP, one matmul each.
 
     Layer i is ``dense{i}`` with a relu; the layer after the last hidden one
-    (the default ``last``) is the head, without. ``h`` is [B, in], shared by
-    every member, or member-major [M, B, in]; the result is [M, B, out].
-    Each call stacks the members' own parameter tensors, so gradients land
-    in them.
+    (the default ``last``) is the head, without. ``param(name)`` gives each
+    weight and bias: the ensemble's [M, in, out] and [M, 1, out] tensors,
+    which take a shared [B, in] or member-major [M, B, in] ``h`` to
+    [M, B, out], or one member's slots, which take [B, in] to [B, out]. An
+    input batch (``first`` 1) is flattened to [B, in].
     """
-    hidden = len(members[0].spec.hidden_sizes)
+    if first == 1 and h.ndim != 2:
+        h = ad.reshape(h, (h.shape[0], -1))
+    hidden = len(spec.hidden_sizes)
     last = hidden + 1 if last is None else last
     for i in range(first, last + 1):
         name = f"dense{i}" if i <= hidden else "head"
-        w = ad.stack([m.params[f"{name}.w"] for m in members])
-        b = ad.stack([m.params[f"{name}.b"] for m in members])
-        h = ad.add(ad.matmul(h, w), ad.reshape(b, (len(members), 1, -1)))
+        h = ad.add(ad.matmul(h, param(f"{name}.w")), param(f"{name}.b"))
         if i <= hidden:
             h = ad.relu(h)
     return h
 
 
-def mlp_forward(members, x) -> ad.Tensor:
-    """Logits [M, B, C] of MLP members on one shared batch."""
-    x = ad.as_tensor(x)
-    members[0]._check_batch(x)
-    return mlp_layers(members, _flat(x), 1)
-
-
-def _flat(x: ad.Tensor) -> ad.Tensor:
-    return x if x.ndim == 2 else ad.reshape(x, (x.shape[0], -1))
-
-
-def _single(h: ad.Tensor) -> ad.Tensor:
-    """Drop the member axis of a one-member [1, B, n] result."""
-    return ad.reshape(h, h.shape[1:])
-
-
 def build_member(spec: ArchitectureSpec, member_index: int, seed: int) -> MemberModel:
-    """Construct one member with parameters seeded from (seed, member_index)."""
-    rng = np.random.default_rng([seed, member_index])
-    params: dict[str, ad.Tensor] = {}
-    if spec.kind == "simple_cnn":
-        cin = spec.input_shape[0]
-        f1, f2, f3 = spec.conv_filters
-        for name, (fout, fin) in (("conv1", (f1, cin)), ("conv2", (f2, f1)), ("conv3", (f3, f2))):
-            fan_in = fin * 9
-            params[f"{name}.w"] = ad.Tensor(_he_uniform(rng, (fout, fin, 3, 3), fan_in), op="param")
-            params[f"{name}.b"] = ad.Tensor(np.zeros(fout), op="param")
-        _, h, w = spec.input_shape
-        flat = f3 * (h // 8) * (w // 8)
-        params["fc.w"] = ad.Tensor(
-            _he_uniform(rng, (flat, spec.output_dim), flat, scale=HEAD_INIT_SCALE), op="param"
-        )
-        params["fc.b"] = ad.Tensor(np.zeros(spec.output_dim), op="param")
-        tap_point = "conv1"
-    else:
-        widths = [spec.flat_input_dim, *spec.hidden_sizes]
-        for i in range(1, len(widths)):
-            params[f"dense{i}.w"] = ad.Tensor(
-                _he_uniform(rng, (widths[i - 1], widths[i]), widths[i - 1]), op="param"
-            )
-            params[f"dense{i}.b"] = ad.Tensor(np.zeros(widths[i]), op="param")
-        params["head.w"] = ad.Tensor(
-            _he_uniform(rng, (widths[-1], spec.output_dim), widths[-1], scale=HEAD_INIT_SCALE),
-            op="param",
-        )
-        params["head.b"] = ad.Tensor(np.zeros(spec.output_dim), op="param")
-        tap_point = "dense1"
-    return MemberModel(spec=spec, member_index=member_index, params=params, tap_point=tap_point)
+    """A standalone member seeded as ``member_index`` of an ensemble, in slot 0
+    of its own one-member layers."""
+    return MemberModel(spec, stack_layers(spec, [init_member(spec, member_index, seed)]), 0)
 
 
 def forward_member(model: MemberModel, batch, injected_features=None):

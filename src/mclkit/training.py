@@ -2,11 +2,13 @@
 
 One coordinator owns the loop. Each step builds one graph for all members:
 the member-major [M, B, C] forward, the objective's [M] per-member terms,
-and one backward. With no fusion stage and AMCL_THREADS above 1 (the
-default is 1), the members' forward and backward passes instead run on a
-thread pool: their logits meet in one detached [M, B, C] leaf, the
-objective back-propagates into it, and each member back-propagates its own
-slice. Every member's arithmetic is the same either way, so the thread
+one backward into the ensemble's [M, …] layers, and one in-place SGD update
+per layer. For CNN members with no fusion stage and AMCL_THREADS above 1
+(the default is 1), the members' conv trunks instead run on a thread pool:
+their logits meet in one detached [M, B, C] leaf, the objective
+back-propagates into it, and each member back-propagates its own slice into
+its slots of the shared layers. MLP members always run the member-axis
+forward. Every member's arithmetic is the same either way, so the thread
 count never changes a result. Steps run under ``autodiff.deferred_checks`` and
 are checked once; a failing one is replayed with per-op checks to name the op.
 """
@@ -169,8 +171,10 @@ def _step(state, cfg, epoch, x, y, share_rng, pool, held, deferred):
     ``held`` keeps the last step's graph until this step's objective replaces
     it: a graph freed at its step's end is faulted back in by the next step."""
     def on_pool(fn):
+        errors = np.geterr()  # numpy's error state is per thread; workers take the caller's
+
         def run(m):
-            with ad.deferred_checks(deferred):
+            with ad.deferred_checks(deferred), np.errstate(**errors):
                 return fn(m)
         return list(pool.map(run, range(cfg.members)))
 
@@ -233,7 +237,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     share_rng = np.random.default_rng([cfg.seed, 202])
 
     threads = _thread_budget(cfg.members)
-    parallel = threads > 1 and cfg.fusion == "none" and cfg.members > 1
+    parallel = threads > 1 and cfg.fusion == "none" and arch.kind == "simple_cnn"
     pool = ThreadPoolExecutor(max_workers=threads) if parallel else None
 
     features = np.ascontiguousarray(dataset.features, dtype=np.float64)

@@ -641,6 +641,10 @@ def _fd_case(name):
         b = ad.Tensor(rng.normal(size=(2, 3)), op="param")
         probe = rng.normal(size=(2, 2, 3))
         return lambda: ad.mul(ad.stack([a, b]), probe).sum(), [a, b]
+    if name == "take":
+        a = ad.Tensor(rng.normal(size=(3, 2, 4)), op="param")
+        probe = rng.normal(size=(2, 4))
+        return lambda: ad.add(ad.mul(ad.take(a, 0), probe), ad.mul(ad.take(a, 2), -2.0 * probe)).sum(), [a]
     if name == "mean":
         x = ad.Tensor(rng.normal(size=(3, 4, 2)), op="param")
         return lambda: ad.mul(x.mean(axis=(1, 2)), np.array([1.0, -2.0, 0.5])).sum(), [x]
@@ -677,6 +681,7 @@ def rng2_const(x):
         "matmul_member_axis",
         "matmul_shared_operand",
         "stack",
+        "take",
         "mean",
         "softmax_cross_entropy",
         "cross_entropy_composed",
@@ -719,6 +724,19 @@ def test_sgd_momentum_unroll():
     assert second_update == pytest.approx(0.1 * 0.5 * 1.9, abs=1e-15)
 
 
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_sgd_updates_in_place_and_only_reads_the_gradient(weight_decay):
+    p = ad.Tensor(RNG.normal(size=(2, 3)), op="param")
+    storage = p.data
+    g = RNG.normal(size=(2, 3))
+    before = g.copy()
+    cfg = ad.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=weight_decay)
+    bufs = ad.sgd_step([p], [g], cfg)
+    ad.sgd_step([p], [g], cfg, bufs)
+    assert p.data is storage
+    assert np.array_equal(g, before)
+
+
 def test_sgd_missing_grad_raises():
     p = ad.Tensor(np.array([1.0]), op="param")
     with pytest.raises(StateError):
@@ -742,3 +760,14 @@ def test_optimizer_updates_and_zeroes():
     assert p.data[0] == pytest.approx(2.0 - 0.5 * 3.0)
     opt.zero_grad()
     assert p.grad is None
+
+
+def test_take_closure_gives_the_full_gradient_backward_writes():
+    a = ad.Tensor(RNG.normal(size=(3, 2)), op="param")
+    g = RNG.normal(size=2)
+    t = ad.take(a, 1)
+    assert np.shares_memory(t.data, a.data)
+    ad.backward(t, seed=g)
+    (full,) = t._backward(g)
+    assert np.array_equal(a.grad, full)
+    assert np.array_equal(full[1], g) and not full[[0, 2]].any()

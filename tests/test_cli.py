@@ -250,3 +250,48 @@ def test_train_nonfinite_run_exits_3_naming_the_op(tmp_path):
         )
     assert result.exit_code == 3
     assert "epoch 1, batch at example 64: non-finite values produced by op 'matmul'" in result.output
+
+
+def test_eval_checkpoint_with_nonfinite_payload_exits_2(trained_run, tmp_path):
+    from mclkit.data import load_checkpoint, save_checkpoint
+
+    state = load_checkpoint(trained_run / "checkpoint.amc1")
+    state.members[0].params["head.b"].data[1] = np.inf
+    ckpt = tmp_path / "checkpoint.amc1"
+    save_checkpoint(state, ckpt)
+    result = CliRunner().invoke(
+        main,
+        ["eval", "--checkpoint", str(ckpt), "--dataset", BLOB_SPEC, "--out", str(tmp_path / "e")],
+    )
+    assert result.exit_code == 2
+    assert "tensor member0/head.b holds non-finite values" in result.output
+
+
+@pytest.mark.parametrize(
+    "dataset,threads,op",
+    [
+        ("blobs:classes=4,per_class=32,dim=16", "1", "matmul"),
+        # CNN member trunks on the thread pool: the workers are silenced too.
+        ("bars:classes=2,per_class=8,size=16", "2", "conv2d"),
+    ],
+)
+def test_diverging_train_prints_no_numpy_warnings(tmp_path, dataset, threads, op):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mclkit
+
+    src = str(Path(mclkit.__file__).parents[1])
+    env = dict(os.environ, AMCL_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mclkit.cli", "train", "--method", "amcl", "--dataset", dataset,
+         "--members", "2", "--epochs", "2", "--t-tau", "1", "--batch-size", "8", "--lr", "1e300",
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert f"non-finite values produced by op '{op}'" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

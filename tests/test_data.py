@@ -328,3 +328,43 @@ def test_checkpoint_bad_header_field_is_format_error(tmp_path, edit, key):
     _rewrite_header(path, edit)
     with pytest.raises(FormatError, match=rf"ckpt\.amc1: header .*'?{key}'?"):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_nonfinite_payload_is_format_error(tmp_path):
+    state = _small_state()
+    state.members[1].params["dense2.w"].data[0, 3] = np.nan
+    path = tmp_path / "ckpt.amc1"
+    save_checkpoint(state, path)
+    with pytest.raises(FormatError, match=r"ckpt\.amc1: tensor member1/dense2\.w holds non-finite values"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_with_no_members_is_format_error(tmp_path):
+    path = tmp_path / "ckpt.amc1"
+    save_checkpoint(_small_state(), path)
+    _rewrite_header(path, lambda h: h.update(members=0))
+    with pytest.raises(FormatError, match=r"ckpt\.amc1: header key 'members' is not positive"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensor_of_the_wrong_shape_is_format_error(tmp_path):
+    path = tmp_path / "ckpt.amc1"
+    save_checkpoint(_small_state(), path)
+    _rewrite_header(path, lambda h: h["arch"].update(hidden_sizes=[8, 9]))
+    with pytest.raises(
+        FormatError, match=r"ckpt\.amc1: tensor member0/dense2\.w has shape \(8, 8\), expected \(8, 9\)"
+    ):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("fusion_mode", ["none", "module"])
+def test_checkpoint_save_of_a_loaded_checkpoint_reproduces_its_bytes(tmp_path, fusion_mode):
+    from mclkit.losses import fix_specialization
+
+    state = _small_state(fusion_mode=fusion_mode)
+    state.counter.counts[:] = np.array([[4, 1], [0, 7], [3, 3]])
+    state.specialization = fix_specialization(state.counter, 1)
+    first, second = tmp_path / "first.amc1", tmp_path / "second.amc1"
+    save_checkpoint(state, first)
+    save_checkpoint(load_checkpoint(first), second)
+    assert second.read_bytes() == first.read_bytes()

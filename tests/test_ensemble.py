@@ -61,9 +61,36 @@ def test_member_probabilities_peak_memory_under_half_of_recorded_forward(fusion)
     assert free < 0.5 * recorded
 
 
-@pytest.mark.parametrize("arch,param,op", [(MLP, "dense2.w", "stack"), (CNN, "conv2.w", "conv2d")])
+@pytest.mark.parametrize("arch,param,op", [(MLP, "dense2.w", "matmul"), (CNN, "conv2.w", "conv2d")])
 def test_member_probabilities_names_the_op_of_a_nonfinite_chunk(arch, param, op):
     state = _ensemble(arch, "none")
     state.members[1].params[param].data[0, 0] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match=f"op '{op}'"):
         member_probabilities(state, _batch(arch, 6), batch_size=4)
+
+
+@pytest.mark.parametrize("arch", [MLP, CNN])
+def test_member_params_are_writable_views_of_the_ensemble_layers(arch):
+    state = _ensemble(arch, "none")
+    assert state.parameters() == list(state.layers.values())
+    for name, layer in state.layers.items():
+        view = state.members[1].params[name].data
+        view.flat[-1] = 7.5
+        assert layer.data.shape[0] == 2
+        assert layer.data[1].size == view.size
+        assert layer.data[1].flat[-1] == 7.5
+        assert layer.data[0].flat[-1] != 7.5
+
+
+def test_fusion_projection_conv_makes_no_padded_copy_of_its_input():
+    # The 1x1 projection reads the concatenated taps, which are NHWC in
+    # memory, as its patch matrix: only the output is allocated.
+    state = _ensemble(CNN, "module")
+    taps = [ad.Tensor(RNG.uniform(size=(16, 16, 16, 32)).transpose(0, 3, 1, 2)) for _ in range(2)]
+    w, b = state.fusion.params["proj.w"], state.fusion.params["proj.b"]
+    with ad.no_graph():
+        cat = ad.concat(taps, axis=1)
+        nchw = ad.Tensor(cat.data.copy())  # NCHW in memory: its patch matrix is a copy
+        out_bytes = ad.conv2d(cat, w, b).data.nbytes
+        assert _peak_bytes(lambda: ad.conv2d(cat, w, b)) < 1.5 * out_bytes
+        assert _peak_bytes(lambda: ad.conv2d(nchw, w, b)) > 2.5 * out_bytes

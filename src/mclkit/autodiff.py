@@ -502,10 +502,25 @@ def maxpool2x2(x) -> Tensor:
     return _make(out, (x,), "maxpool2x2", back)
 
 
+def _max_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis, keepdims=True)``; over 64 rows per slice or more, as an
+    elementwise maximum of the slices along ``axis``. numpy reduces a short
+    axis row by row, which costs more than a call per slice once rows are
+    many; max is exact, so the bits are the same either way."""
+    width = x.shape[axis]
+    if x.size < 64 * width * width:
+        return x.max(axis=axis, keepdims=True)
+    moved = x.swapaxes(axis, 0)
+    out = moved[:1].copy()
+    for i in range(1, width):
+        np.maximum(out, moved[i], out=out)
+    return out.swapaxes(0, axis)
+
+
 def softmax(x, axis=-1) -> Tensor:
     """Max-subtracted softmax along ``axis``; rows sum to 1 within 1e-9."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - _max_keepdims(x.data, axis)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
 
@@ -559,7 +574,7 @@ def softmax_cross_entropy(logits, target) -> Tensor:
     t = np.asarray(target, dtype=np.float64)
     if x.data.shape[-1] != t.shape[-1]:
         raise ConfigurationError("softmax_cross_entropy length mismatch")
-    m = x.data.max(axis=-1, keepdims=True)
+    m = _max_keepdims(x.data, -1)
     e = np.exp(x.data - m)
     z = e.sum(axis=-1, keepdims=True)
     lse = (m + np.log(z))[..., 0]

@@ -109,7 +109,7 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     are stacked. Fusion needs all member taps before any member continues,
     so with a fusion stage the taps are taken per member and routed through it. Feature sharing only
     shuffles during training; at inference the members keep their own
-    features.
+    features. Each tap and feature is dropped once it has been consumed.
     """
     x = ad.as_tensor(x)
     mlp = state.arch.kind == "mlp"
@@ -126,18 +126,24 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
         feats = feature_share(taps, p_share=state.p_share, rng=share_rng)
     else:
         feats = taps
+    del taps
     if mlp:
         return mlp_layers(state.arch, state.layers.__getitem__, ad.stack(feats), 2)
-    return ad.stack([member.forward_from_tap(f) for member, f in zip(state.members, feats)])
+    logits = []
+    for m, member in enumerate(state.members):
+        logits.append(member.forward_from_tap(feats[m]))
+        feats[m] = None  # under no_graph nothing else holds it
+    return ad.stack(logits)
 
 
 def member_probabilities(state: EnsembleState, features, batch_size: int = 512) -> np.ndarray:
-    """Stacked softmax outputs [N, M, width], ``batch_size`` examples at a time.
+    """Stacked softmax outputs [N, M, width], ``batch_size`` examples at a time,
+    written into one C-ordered array.
 
     Each chunk runs the ordinary forward under ``no_graph``: the arithmetic
     is that of a training forward, but no graph is recorded, so activations
     are freed once the next layer has consumed them (per-member taps, where
-    the forward takes them, live until every member has continued). Only the
+    the forward takes them, live until their member has continued). Only the
     probabilities are checked; a failing chunk reruns with per-op checks.
     """
     def chunk_probs(chunk, deferred):
@@ -146,14 +152,17 @@ def member_probabilities(state: EnsembleState, features, batch_size: int = 512) 
         ad._check_finite(probs, "probabilities")
         return probs.transpose(1, 0, 2)
 
-    chunks = []
     n = features.shape[0]
+    out = np.empty((n, len(state.members), state.arch.output_dim))
     with ad.no_graph():
         for start in range(0, n, batch_size):
             chunk = features[start : start + batch_size]
             try:
-                chunks.append(chunk_probs(chunk, deferred=True))
+                out[start : start + batch_size] = chunk_probs(chunk, deferred=True)
             except NumericError:
                 chunk_probs(chunk, deferred=False)
                 raise
-    return np.concatenate(chunks, axis=0)
+    # The chunks' freed activations would otherwise stay resident in the heap
+    # and raise the next pass's peak by where they happened to lie.
+    ad.release_heap()
+    return out

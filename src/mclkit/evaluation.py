@@ -68,21 +68,25 @@ def ensemble_average(stripped, normalize: bool = False) -> np.ndarray:
     left (every member routed everything to its auxiliary slot) stay zero
     and are flagged in the log as rejected by all members.
     """
-    arr = np.asarray(stripped, dtype=np.float64)
-    if arr.ndim == 2:
-        averaged = arr.mean(axis=0)
-        if not normalize:
-            return averaged
-        total = averaged.sum()
-        if total <= 0.0:
-            log.warning("example rejected by all members (no probability mass left)")
-            return np.zeros_like(averaged)
-        return averaged / total
-    if arr.ndim != 3:
+    arr = np.ascontiguousarray(stripped, dtype=np.float64)
+    if arr.ndim not in (2, 3):
         raise InputError("stripped probabilities must be [M, C] or [B, M, C]")
-    averaged = arr.mean(axis=1)
-    if not normalize:
-        return averaged
+    averaged = _member_mean(arr if arr.ndim == 3 else arr[None])
+    if normalize:
+        averaged = _normalized(averaged)
+    return averaged if arr.ndim == 3 else averaged[0]
+
+
+def _member_mean(arr: np.ndarray) -> np.ndarray:
+    """Mean over M of [B, M, C], adding the member slices in index order, as
+    ``arr.mean(axis=1)`` does for a C-ordered ``arr`` with C ≥ 2: same bits."""
+    total = arr[:, 0].copy()
+    for m in range(1, arr.shape[1]):
+        total += arr[:, m]
+    return total / arr.shape[1]
+
+
+def _normalized(averaged: np.ndarray) -> np.ndarray:
     totals = averaged.sum(axis=1, keepdims=True)
     rejected = totals[:, 0] <= 0.0
     if rejected.any():
@@ -152,7 +156,7 @@ def ood_score(state, inputs, batch_size: int = 512) -> np.ndarray:
             f"method {state.method!r} has no auxiliary slot; ood scores are undefined"
         )
     probs = member_probabilities(state, inputs, batch_size=batch_size)
-    return probs[:, :, -1].mean(axis=1)
+    return _member_mean(probs[:, :, -1:])[:, 0]
 
 
 def auxiliary_split_scores(probs_full: np.ndarray, labels, w: SpecializationMatrix):
@@ -188,7 +192,7 @@ def evaluate_predictions(state, probs: np.ndarray) -> EnsemblePrediction:
     """Post-process stacked member probabilities [B, M, width]."""
     stripped = strip_auxiliary(probs) if state.has_aux else np.asarray(probs, dtype=np.float64).copy()
     averaged = ensemble_average(stripped, normalize=False)
-    normalized = ensemble_average(stripped, normalize=True)
+    normalized = _normalized(averaged)
     return EnsemblePrediction(per_model=stripped, averaged=averaged, normalized=normalized)
 
 

@@ -92,6 +92,7 @@ class FusionModule:
             z = ad.conv2d(cat, self.params["proj.w"], self.params["proj.b"])
         else:
             z = ad.dense(cat, self.params["proj.w"], self.params["proj.b"])
+        del cat  # under no_graph this frees the concatenated taps before the gate
         if not self.attention:
             return z
         squeeze = z.mean(axis=(2, 3)) if self.spatial else z
@@ -110,7 +111,8 @@ class FusionModule:
         """Feature a member continues from: shared fused + scaled own tap."""
         if self.residual_scale == 0.0:
             return fused
-        return ad.add(fused, ad.mul(ad.as_tensor(own_tap), self.residual_scale))
+        own = ad.as_tensor(own_tap)
+        return ad.add(fused, own if self.residual_scale == 1.0 else ad.mul(own, self.residual_scale))
 
     def member_features(self, taps) -> list:
         """fuse + inject for every member in one call."""

@@ -503,10 +503,10 @@ def maxpool2x2(x) -> Tensor:
 
 
 def _max_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
-    """``x.max(axis, keepdims=True)``; over 64 rows per slice or more, as an
-    elementwise maximum of the slices along ``axis``. numpy reduces a short
-    axis row by row, which costs more than a call per slice once rows are
-    many; max is exact, so the bits are the same either way."""
+    """``x.max(axis, keepdims=True)``; from 64·width rows per slice on, an
+    elementwise maximum of the slices (max is exact: same bits). numpy reduces
+    a short axis row by row; the threshold lies between the measured [3, 32, 4]
+    (numpy faster) and [3, 512, 5] (slices faster), not at a measured crossover."""
     width = x.shape[axis]
     if x.size < 64 * width * width:
         return x.max(axis=axis, keepdims=True)

@@ -68,7 +68,7 @@ def ensemble_average(stripped, normalize: bool = False) -> np.ndarray:
     left (every member routed everything to its auxiliary slot) stay zero
     and are flagged in the log as rejected by all members.
     """
-    arr = np.ascontiguousarray(stripped, dtype=np.float64)
+    arr = np.asarray(stripped, dtype=np.float64)
     if arr.ndim not in (2, 3):
         raise InputError("stripped probabilities must be [M, C] or [B, M, C]")
     averaged = _member_mean(arr if arr.ndim == 3 else arr[None])

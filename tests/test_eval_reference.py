@@ -14,8 +14,9 @@ from mclkit.models import ArchitectureSpec
 import eval_reference as ref
 
 WIDTHS = (1, 2, 5, 9)
-# 6 rows take numpy's own reduction for the softmax max; 700 rows (64 or
-# more per slice at every width here) the elementwise maximum of slices.
+# 6 rows take numpy's own reduction for the softmax max; 700 rows (at least
+# 64·width per slice at every width here, 576 at width 9) the elementwise
+# maximum of slices.
 ROWS = (6, 700)
 
 

@@ -1,13 +1,12 @@
 """Byte-for-byte comparison of fixed-seed CLI outputs between two checkouts.
 
     python3 tools/fixed_seed_diff.py --a ../parent --b .
-    python3 tools/fixed_seed_diff.py --a ../parent --b . --threads 1 --config mlp-amcl
 
 Each checkout's ``src/mclkit`` runs the same 14 configurations through
 ``mclkit train`` and ``mclkit eval``: MLP M=3 ie/smcl/cmcl/amcl, smcl and
 amcl with K=2, amcl with fusion module and share; CNN M=2 ie/smcl/cmcl/amcl,
-amcl with fusion module and share. Each runs with every ``AMCL_THREADS``
-value given (default 1 and 2) and one BLAS thread. Every file the two
+amcl with fusion module and share. Each runs with ``AMCL_THREADS`` 1 and 2
+and one BLAS thread. Every file the two
 checkouts write is compared byte for byte: ``train_log.csv``,
 ``purity_flow.csv``, ``summary.csv``, ``config.txt``, every checkpoint (the
 fusion runs also save one per epoch) and every file of ``mclkit eval``
@@ -39,6 +38,7 @@ MLP = ["--arch", "mlp", "--hidden", "32,16", "--members", "3", "--epochs", "6", 
 CNN = ["--arch", "simple_cnn", "--members", "2", "--epochs", "3", "--t-tau", "2",
        "--batch-size", "16", "--dataset", CNN_DATA]
 EVERY_EPOCH = ["--checkpoint-every", "1"]
+THREADS = (1, 2)
 
 # name -> (train arguments, test spec, OOD spec)
 CONFIGS = {
@@ -90,8 +90,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="Diff fixed-seed CLI outputs of two checkouts byte for byte.")
     p.add_argument("--a", required=True, help="first checkout (repository root)")
     p.add_argument("--b", required=True, help="second checkout (repository root)")
-    p.add_argument("--threads", type=int, nargs="+", default=[1, 2], help="AMCL_THREADS values")
-    p.add_argument("--config", action="append", choices=sorted(CONFIGS), help="repeatable; default: all 14")
     p.add_argument("--work", default=None, help="keep the outputs in this (empty) directory")
     args = p.parse_args(argv)
     checkouts = {side: Path(path).resolve() for side, path in (("A", args.a), ("B", args.b))}
@@ -101,9 +99,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work or tmp)
-        names = args.config or list(CONFIGS)
-        for name in names:
-            for threads in args.threads:
+        for name in CONFIGS:
+            for threads in THREADS:
                 for side, checkout in checkouts.items():
                     side_dir = work / side
                     side_dir.mkdir(parents=True, exist_ok=True)
@@ -113,7 +110,7 @@ def main(argv=None) -> int:
         count = sum(1 for f in (work / "A").rglob("*") if f.is_file())
     for line in problems:
         print(line)
-    print(f"{len(names)} configurations x {len(args.threads)} thread settings: "
+    print(f"{len(CONFIGS)} configurations x {len(THREADS)} thread settings: "
           f"{count} files in A, {len(problems)} problem(s)")
     return 1 if problems else 0
 

@@ -4,35 +4,11 @@ Train small ensembles whose members specialize to class subsets, using the
 independent-ensemble baseline, stochastic top-K assignment, the confident
 (uniform-penalty) variant, or the auxiliary-class objective with
 memory-based assignment and optional cross-member feature fusion.
+
+The package exports its error taxonomy; everything else is imported from
+its module (``mclkit.training.train``, ``mclkit.data.build_dataset``, …).
 """
 
-from .autodiff import (
-    EPS_PROB,
-    SgdConfig,
-    SgdOptimizer,
-    Tensor,
-    backward,
-    cross_entropy_onehot,
-    kl_to_onehot,
-    kl_uniform_to,
-    sgd_step,
-    softmax,
-    softmax_cross_entropy,
-    topo_order,
-)
-from .data import (
-    DatasetSpec,
-    LabeledDataset,
-    build_dataset,
-    generate_bar_images,
-    generate_blobs,
-    load_cifar_binary,
-    load_checkpoint,
-    load_idx,
-    parse_dataset_spec,
-    save_checkpoint,
-)
-from .ensemble import EnsembleState, build_ensemble, ensemble_forward, member_probabilities
 from .errors import (
     CompatibilityError,
     ConfigurationError,
@@ -43,41 +19,5 @@ from .errors import (
     StateError,
     UnsupportedMethodError,
 )
-from .evaluation import (
-    EnsemblePrediction,
-    MetricReport,
-    auxiliary_split_scores,
-    confidence_histogram,
-    cross_entropy_split,
-    ensemble_average,
-    evaluate_ensemble,
-    ood_score,
-    oracle_error,
-    purity_flow,
-    strip_auxiliary,
-    top1_error,
-)
-from .fusion import FusionModule, feature_share
-from .losses import (
-    AssignmentCounter,
-    PenaltyConfig,
-    SpecializationMatrix,
-    accumulate_counts,
-    amcl_objective,
-    append_auxiliary,
-    assign_top_k,
-    augment_labels,
-    auxiliary_target,
-    cmcl_loss,
-    fix_specialization,
-    ie_loss,
-    lba_loss,
-    mba_loss,
-    one_hot,
-    oracle_loss,
-    smcl_loss,
-)
-from .models import ArchitectureSpec, MemberModel, build_member, forward_member, predict_proba
-from .training import TrainConfig, TrainLog, freeze_specialization, train
 
 __version__ = "0.1.0"

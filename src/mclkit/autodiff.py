@@ -129,9 +129,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __float__(self) -> float:
         return float(self.data)
 
@@ -142,31 +139,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor) or not np.isscalar(other):
-            raise ConfigurationError("tensor division only supports scalar divisors")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -218,6 +192,8 @@ def _make_pruned(data, inputs, op, grad_fns) -> Tensor:
     ``grad_fns[i]`` maps the output gradient to input i's gradient; it is
     never called for a constant or input-batch operand.
     """
+    if not _graph.recording:
+        return Tensor(data, op=op)
     kept = [(t, fn) for t, fn in zip(inputs, grad_fns) if t.requires_grad]
 
     def back(g):
@@ -548,11 +524,6 @@ def cross_entropy_onehot(p, target) -> Tensor:
         )
     lp = log(p, lo=EPS_PROB, hi=1.0)
     return neg(tensor_sum(mul(lp, t), axis=-1))
-
-
-def kl_to_onehot(target, p) -> Tensor:
-    """KL(one-hot || p); analytically identical to cross_entropy_onehot(p, target)."""
-    return cross_entropy_onehot(p, target)
 
 
 def kl_uniform_to(p) -> Tensor:

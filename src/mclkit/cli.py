@@ -10,7 +10,7 @@ members always share one member-axis graph).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import click
@@ -38,6 +38,7 @@ from .evaluation import (
     cross_entropy_split,
     evaluate_ensemble,
     ood_score,
+    purity_flow,
     renormalize_rows,
 )
 from .training import TrainConfig, train
@@ -49,25 +50,26 @@ EXIT_NUMERIC = 3
 
 @dataclass
 class ExperimentConfig:
-    """Flat, file-serializable experiment settings; flags override file values."""
+    """Flat, file-serializable experiment settings; flags override file values.
+    The training defaults are read from ``TrainConfig`` and ``SgdConfig``."""
 
     method: str = "amcl"
     dataset: str = "bars:classes=2,per_class=128"
-    members: int = 2
-    overlap: int = 1
-    beta: float = 0.75
-    gamma: float = 0.75
-    t_tau: int = 10
-    epochs: int = 40
-    batch_size: int = 64
-    seed: int = 0
-    fusion: str = "none"
-    lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    p_share: float = 0.5
-    arch: str = "auto"
-    hidden: str = "64,64"
+    members: int = TrainConfig.members
+    overlap: int = TrainConfig.overlap_k
+    beta: float = TrainConfig.beta
+    gamma: float = TrainConfig.gamma
+    t_tau: int = TrainConfig.t_tau
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    seed: int = TrainConfig.seed
+    fusion: str = TrainConfig.fusion
+    lr: float = SgdConfig.learning_rate
+    momentum: float = SgdConfig.momentum
+    weight_decay: float = SgdConfig.weight_decay
+    p_share: float = TrainConfig.p_share
+    arch: str = TrainConfig.arch_kind
+    hidden: str = ",".join(str(h) for h in TrainConfig.hidden_sizes)
     out: str = ""
 
     def to_file(self, path) -> None:
@@ -160,6 +162,32 @@ def _summary_rows(cfg: ExperimentConfig, state, log) -> tuple:
     return header, row
 
 
+# The ExperimentConfig fields that train and compare both take as flags; a
+# flag left unset (None) keeps the config's value.
+_SHARED_OPTIONS = (
+    click.option("--members", type=int, default=None, help="Ensemble size M"),
+    click.option("--overlap", type=int, default=None, help="Specialists per example K"),
+    click.option("--beta", type=float, default=None),
+    click.option("--gamma", type=float, default=None),
+    click.option("--t-tau", type=int, default=None, help="Epoch threshold for the assignment switch"),
+    click.option("--epochs", type=int, default=None),
+    click.option("--batch-size", type=int, default=None),
+    click.option("--seed", type=int, default=None),
+    click.option("--fusion", type=click.Choice(["none", "module", "share"]), default=None),
+    click.option("--lr", type=float, default=None),
+    click.option("--momentum", type=float, default=None),
+    click.option("--weight-decay", type=float, default=None),
+    click.option("--arch", type=click.Choice(["auto", "simple_cnn", "mlp"]), default=None),
+    click.option("--hidden", default=None, help="Comma-separated MLP hidden widths"),
+)
+
+
+def _shared_options(command):
+    for option in reversed(_SHARED_OPTIONS):
+        command = option(command)
+    return command
+
+
 @click.group()
 @click.pass_context
 def main(ctx):
@@ -171,21 +199,8 @@ def main(ctx):
 @main.command("train")
 @click.option("--method", type=click.Choice(["ie", "smcl", "cmcl", "amcl"]), default=None)
 @click.option("--dataset", "dataset_spec", default=None, help="Dataset spec, e.g. bars:classes=2,per_class=128")
-@click.option("--members", type=int, default=None, help="Ensemble size M")
-@click.option("--overlap", type=int, default=None, help="Specialists per example K")
-@click.option("--beta", type=float, default=None)
-@click.option("--gamma", type=float, default=None)
-@click.option("--t-tau", type=int, default=None, help="Epoch threshold for the assignment switch")
-@click.option("--epochs", type=int, default=None)
-@click.option("--batch-size", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--fusion", type=click.Choice(["none", "module", "share"]), default=None)
-@click.option("--lr", type=float, default=None)
-@click.option("--momentum", type=float, default=None)
-@click.option("--weight-decay", type=float, default=None)
+@_shared_options
 @click.option("--p-share", type=float, default=None)
-@click.option("--arch", type=click.Choice(["auto", "simple_cnn", "mlp"]), default=None)
-@click.option("--hidden", default=None, help="Comma-separated MLP hidden widths")
 @click.option("--checkpoint-every", type=int, default=0, help="Also checkpoint every N epochs")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--out", default=None, help="Output directory (required)")
@@ -227,7 +242,7 @@ def cmd_train(dataset_spec, config_path, checkpoint_every, out, **overrides):
 @click.option("--histograms/--no-histograms", default=False, help="Per-class confidence histograms")
 @click.option("--ce-split/--no-ce-split", default=False, help="Specialized vs non-specialized cross-entropies")
 @click.option("--purity/--no-purity", default=False, help="Cumulative assignment ratios from the checkpoint")
-@click.option("--seed", type=int, default=0, help="Seed for synthetic test data without an explicit seed")
+@click.option("--seed", type=int, default=TrainConfig.seed, help="Seed for synthetic test data without an explicit seed")
 @click.option("--out", required=True, help="Output directory")
 def cmd_eval(checkpoint_path, dataset_spec, ood_spec, histograms, ce_split, purity, seed, out):
     """Evaluate a checkpoint and write metric CSVs."""
@@ -248,27 +263,19 @@ def cmd_eval(checkpoint_path, dataset_spec, ood_spec, histograms, ce_split, puri
             [(repr(report.oracle_error), repr(report.top1_error), len(dataset))],
         )
 
+        def histogram(name, probs, c):
+            centers, counts = confidence_histogram(probs, dataset.labels, c)
+            _write_csv(out_dir / name, "bin_center,count", zip((repr(float(x)) for x in centers), counts))
+
         if histograms:
             for c in range(state.n_classes):
-                centers, counts = confidence_histogram(pred.normalized, dataset.labels, c)
-                _write_csv(
-                    out_dir / f"confidence_class{c}.csv",
-                    "bin_center,count",
-                    zip((repr(float(x)) for x in centers), counts),
-                )
+                histogram(f"confidence_class{c}.csv", pred.normalized, c)
             per_model = renormalize_rows(pred.per_model)
             for m in range(len(state.members)):
                 for c in range(state.n_classes):
-                    centers, counts = confidence_histogram(per_model[:, m], dataset.labels, c)
-                    _write_csv(
-                        out_dir / f"confidence_class{c}_model{m}.csv",
-                        "bin_center,count",
-                        zip((repr(float(x)) for x in centers), counts),
-                    )
+                    histogram(f"confidence_class{c}_model{m}.csv", per_model[:, m], c)
 
         if ce_split:
-            if state.specialization is None or not state.specialization.frozen:
-                raise StateError("cross-entropy split needs a frozen specialization matrix")
             spec_vals, non_vals = cross_entropy_split(
                 pred.per_model, dataset.labels, state.specialization
             )
@@ -291,12 +298,11 @@ def cmd_eval(checkpoint_path, dataset_spec, ood_spec, histograms, ce_split, puri
             if state.counter is None:
                 raise StateError("checkpoint carries no assignment counter")
             counts = state.counter.counts
-            totals = counts.sum(axis=1)
-            rows = []
-            for c in range(counts.shape[0]):
-                for m in range(counts.shape[1]):
-                    ratio = counts[c, m] / totals[c] if totals[c] else 0.0
-                    rows.append((c, m, int(counts[c, m]), repr(float(ratio))))
+            ratios = purity_flow([counts])[0]
+            rows = [
+                (c, m, int(count), repr(float(ratios[c, m])))
+                for (c, m), count in np.ndenumerate(counts)
+            ]
             _write_csv(out_dir / "purity_cumulative.csv", "class,model,count,ratio", rows)
 
         (out_dir / "summary.txt").write_text("\n".join(report.summary_lines()) + "\n")
@@ -312,22 +318,9 @@ def cmd_eval(checkpoint_path, dataset_spec, ood_spec, histograms, ce_split, puri
 @click.option("--methods", required=True, help="Comma-separated subset of ie,smcl,cmcl,amcl")
 @click.option("--dataset", "dataset_spec", required=True, help="Training dataset spec")
 @click.option("--eval-dataset", "eval_spec", default=None, help="Held-out spec; defaults to the training spec reseeded")
-@click.option("--members", type=int, default=2)
-@click.option("--overlap", type=int, default=1)
-@click.option("--beta", type=float, default=0.75)
-@click.option("--gamma", type=float, default=0.75)
-@click.option("--t-tau", type=int, default=10)
-@click.option("--epochs", type=int, default=40)
-@click.option("--batch-size", type=int, default=64)
-@click.option("--seed", type=int, default=0)
-@click.option("--fusion", type=click.Choice(["none", "module", "share"]), default="none")
-@click.option("--lr", type=float, default=0.05)
-@click.option("--momentum", type=float, default=0.9)
-@click.option("--weight-decay", type=float, default=5e-4)
-@click.option("--arch", type=click.Choice(["auto", "simple_cnn", "mlp"]), default="auto")
-@click.option("--hidden", default="64,64")
+@_shared_options
 @click.option("--out", required=True)
-def cmd_compare(methods, dataset_spec, eval_spec, out, **knobs):
+def cmd_compare(methods, dataset_spec, eval_spec, out, **overrides):
     """Train every requested method under identical conditions and tabulate."""
     requested = [m.strip() for m in methods.split(",") if m.strip()]
     unknown = [m for m in requested if m not in ("ie", "smcl", "cmcl", "amcl")]
@@ -336,17 +329,15 @@ def cmd_compare(methods, dataset_spec, eval_spec, out, **knobs):
     if not requested:
         raise click.UsageError("no methods requested")
 
-    seed = knobs["seed"]
+    cfg = _resolve_config(None, {**overrides, "dataset": dataset_spec})
     try:
-        _, train_ds = _dataset_from_spec(dataset_spec, seed)
-        if eval_spec is None:
-            spec = parse_dataset_spec(dataset_spec)
-            if spec.kind in ("blobs", "bars"):
-                eval_ds = build_dataset(with_seed(spec, (spec.seed if "seed=" in dataset_spec else seed) + 1))
-            else:
-                eval_ds = train_ds
+        spec, train_ds = _dataset_from_spec(dataset_spec, cfg.seed)
+        if eval_spec is not None:
+            _, eval_ds = _dataset_from_spec(eval_spec, cfg.seed + 1)
+        elif spec.kind in ("blobs", "bars"):
+            eval_ds = build_dataset(with_seed(spec, spec.seed + 1))
         else:
-            _, eval_ds = _dataset_from_spec(eval_spec, seed + 1)
+            eval_ds = train_ds
     except (ConfigurationError, InputError, FormatError) as exc:
         raise click.UsageError(str(exc))
 
@@ -355,27 +346,8 @@ def cmd_compare(methods, dataset_spec, eval_spec, out, **knobs):
     rows = []
     failed = False
     for method in requested:
-        cfg = ExperimentConfig(
-            method=method,
-            dataset=dataset_spec,
-            members=knobs["members"],
-            overlap=knobs["overlap"],
-            beta=knobs["beta"],
-            gamma=knobs["gamma"],
-            t_tau=knobs["t_tau"],
-            epochs=knobs["epochs"],
-            batch_size=knobs["batch_size"],
-            seed=seed,
-            fusion=knobs["fusion"],
-            lr=knobs["lr"],
-            momentum=knobs["momentum"],
-            weight_decay=knobs["weight_decay"],
-            arch=knobs["arch"],
-            hidden=knobs["hidden"],
-        )
         try:
-            train_cfg = _train_config(cfg)
-            state, _ = train(train_ds, train_cfg)
+            state, _ = train(train_ds, _train_config(replace(cfg, method=method)))
             _, report = evaluate_ensemble(state, eval_ds)
             oracle, top1 = report.oracle_error, report.top1_error
             hm = 0.0 if oracle + top1 == 0 else 2.0 * oracle * top1 / (oracle + top1)

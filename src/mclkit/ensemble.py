@@ -14,6 +14,7 @@ from .models import ArchitectureSpec, MemberModel, init_member, mlp_layers, stac
 
 METHODS = ("ie", "smcl", "cmcl", "amcl")
 FUSION_MODES = ("none", "module", "share")
+EVAL_BATCH = 512  # examples per evaluation forward
 
 
 @dataclass
@@ -43,12 +44,6 @@ class EnsembleState:
     @property
     def has_aux(self) -> bool:
         return self.arch.aux_class
-
-    @property
-    def phase(self) -> str:
-        if self.specialization is not None and self.specialization.frozen:
-            return "mba"
-        return "lba"
 
     def parameters(self) -> list:
         params = list(self.layers.values())
@@ -136,7 +131,7 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     return ad.stack(logits)
 
 
-def member_probabilities(state: EnsembleState, features, batch_size: int = 512) -> np.ndarray:
+def member_probabilities(state: EnsembleState, features, batch_size: int = EVAL_BATCH) -> np.ndarray:
     """Stacked softmax outputs [N, M, width], ``batch_size`` examples at a time,
     written into one C-ordered array.
 

@@ -8,10 +8,11 @@ assignment-purity flow.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import ensemble
 from .autodiff import EPS_PROB
 from .errors import InputError, StateError, UnsupportedMethodError
 from .losses import SpecializationMatrix
@@ -34,7 +35,6 @@ class EnsemblePrediction:
 class MetricReport:
     oracle_error: float
     top1_error: float
-    histograms: dict = field(default_factory=dict)  # class -> (centers, counts)
     ce_split: tuple = ()  # (specialized values, non-specialized values)
     ood_scores: np.ndarray | None = None
 
@@ -147,15 +147,13 @@ def cross_entropy_split(per_model_stripped: np.ndarray, labels, w: Specializatio
     return ce[flags], ce[~flags]
 
 
-def ood_score(state, inputs, batch_size: int = 512) -> np.ndarray:
+def ood_score(state, inputs, batch_size: int = ensemble.EVAL_BATCH) -> np.ndarray:
     """Mean auxiliary-class probability across members, one score per input."""
-    from .ensemble import member_probabilities
-
     if not state.has_aux:
         raise UnsupportedMethodError(
             f"method {state.method!r} has no auxiliary slot; ood scores are undefined"
         )
-    probs = member_probabilities(state, inputs, batch_size=batch_size)
+    probs = ensemble.member_probabilities(state, inputs, batch_size=batch_size)
     return _member_mean(probs[:, :, -1:])[:, 0]
 
 
@@ -196,14 +194,12 @@ def evaluate_predictions(state, probs: np.ndarray) -> EnsemblePrediction:
     return EnsemblePrediction(per_model=stripped, averaged=averaged, normalized=normalized)
 
 
-def evaluate_ensemble(state, dataset, batch_size: int = 512) -> tuple:
+def evaluate_ensemble(state, dataset, batch_size: int = ensemble.EVAL_BATCH) -> tuple:
     """Forward the test set and compute the error metrics.
 
     Returns (EnsemblePrediction, MetricReport with errors only).
     """
-    from .ensemble import member_probabilities
-
-    probs = member_probabilities(state, dataset.features, batch_size=batch_size)
+    probs = ensemble.member_probabilities(state, dataset.features, batch_size=batch_size)
     pred = evaluate_predictions(state, probs)
     report = MetricReport(
         oracle_error=oracle_error(pred.per_model.argmax(axis=2), dataset.labels),

@@ -10,49 +10,33 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigurationError
+from .models import he_uniform
 
 
 class FusionModule:
     """Attention-gated fusion of the members' tap features.
 
     The concatenated taps are projected back to a single member's channel
-    count, gated by a squeeze-excitation style channel attention, and the
-    same fused tensor is handed back to every member. Each member then
-    receives ``fused + residual_scale * own_tap``.
+    count by a projection that starts as their average, gated by a
+    squeeze-excitation style channel attention (hidden width a quarter of
+    the channels), and the same fused tensor is handed back to every member.
+    Each member then receives ``fused + own_tap``.
     """
 
-    def __init__(
-        self,
-        members: int,
-        tap_shape: tuple,
-        reduction: int = 4,
-        residual_scale: float = 1.0,
-        seed: int = 0,
-        attention: bool = True,
-        projection_init: str = "average",
-    ):
+    def __init__(self, members: int, tap_shape: tuple, seed: int):
         if members < 1:
             raise ConfigurationError("fusion needs at least one member")
-        if not 0.0 <= residual_scale <= 1.0:
-            raise ConfigurationError("residual_scale must lie in [0, 1]")
         self.members = members
         self.tap_shape = tuple(tap_shape)
         self.spatial = len(self.tap_shape) == 3
-        self.residual_scale = residual_scale
-        self.attention = attention
         channels = self.tap_shape[0]
         self.channels = channels
-        hidden = max(1, channels // reduction)
+        hidden = max(1, channels // 4)
         rng = np.random.default_rng([seed, members, 77])
 
-        if projection_init == "average":
-            proj = np.zeros((channels, members * channels))
-            for c in range(channels):
-                proj[c, c::channels] = 1.0 / members
-        elif projection_init == "random":
-            proj = _he(rng, (channels, members * channels), members * channels)
-        else:
-            raise ConfigurationError(f"unknown projection_init {projection_init!r}")
+        proj = np.zeros((channels, members * channels))
+        for c in range(channels):
+            proj[c, c::channels] = 1.0 / members
 
         self.params: dict[str, ad.Tensor] = {}
         if self.spatial:
@@ -60,11 +44,10 @@ class FusionModule:
         else:
             self.params["proj.w"] = ad.Tensor(proj.T, op="param")
         self.params["proj.b"] = ad.Tensor(np.zeros(channels), op="param")
-        if attention:
-            self.params["gate1.w"] = ad.Tensor(_he(rng, (channels, hidden), channels), op="param")
-            self.params["gate1.b"] = ad.Tensor(np.zeros(hidden), op="param")
-            self.params["gate2.w"] = ad.Tensor(_he(rng, (hidden, channels), hidden), op="param")
-            self.params["gate2.b"] = ad.Tensor(np.zeros(channels), op="param")
+        self.params["gate1.w"] = ad.Tensor(he_uniform(rng, (channels, hidden), channels), op="param")
+        self.params["gate1.b"] = ad.Tensor(np.zeros(hidden), op="param")
+        self.params["gate2.w"] = ad.Tensor(he_uniform(rng, (hidden, channels), hidden), op="param")
+        self.params["gate2.b"] = ad.Tensor(np.zeros(channels), op="param")
 
     def parameters(self) -> list:
         return list(self.params.values())
@@ -93,8 +76,6 @@ class FusionModule:
         else:
             z = ad.dense(cat, self.params["proj.w"], self.params["proj.b"])
         del cat  # under no_graph this frees the concatenated taps before the gate
-        if not self.attention:
-            return z
         squeeze = z.mean(axis=(2, 3)) if self.spatial else z
         gate = ad.sigmoid(
             ad.dense(
@@ -108,11 +89,8 @@ class FusionModule:
         return ad.mul(z, gate)
 
     def inject(self, fused: ad.Tensor, own_tap) -> ad.Tensor:
-        """Feature a member continues from: shared fused + scaled own tap."""
-        if self.residual_scale == 0.0:
-            return fused
-        own = ad.as_tensor(own_tap)
-        return ad.add(fused, own if self.residual_scale == 1.0 else ad.mul(own, self.residual_scale))
+        """Feature a member continues from: shared fused + own tap."""
+        return ad.add(fused, ad.as_tensor(own_tap))
 
     def member_features(self, taps) -> list:
         """fuse + inject for every member in one call."""
@@ -121,17 +99,11 @@ class FusionModule:
         return [self.inject(fused, t) for t in taps]
 
 
-def _he(rng, shape, fan_in):
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def feature_share(taps, p_share: float = 0.5, rng=None, return_mask: bool = False):
+def feature_share(taps, p_share: float, rng, return_mask: bool = False):
     """Per example, permute member features uniformly with probability p_share.
 
     The permutation may be the identity; the multiset of member features is
-    preserved exactly per example. ``rng`` is an int seed or a Generator and
-    is required for reproducibility.
+    preserved exactly per example. ``rng`` is an int seed or a Generator.
     """
     if not 0.0 <= p_share <= 1.0:
         raise ConfigurationError("p_share must lie in [0, 1]")

@@ -1,14 +1,20 @@
 """Ensemble objectives and assignment machinery.
 
-Covers the independent-ensemble sum, the oracle loss, the stochastic top-K
-relaxation, the confident (uniform-penalty) variant, and the auxiliary-class
-objectives with loss-based and memory-based assignment, plus the cumulative
-count matrix from which the fixed specialization is derived.
+Covers the independent-ensemble sum, the stochastic top-K relaxation, the
+confident (uniform-penalty) variant, and the auxiliary-class objectives with
+loss-based and memory-based assignment, plus the cumulative count matrix
+from which the fixed specialization is derived.
+
+Each objective has one form, ``*_loss_terms``: it takes the member-major
+probabilities [M, B, C] as one Tensor (ie takes the [M, B] cross-entropies
+of ``member_cross_entropies``) and one-hot labels from ``one_hot``, and
+returns one term per member [M], plus the [B, M] assignment it used. The
+batch loss is ``terms.sum()``.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,37 +28,13 @@ log = logging.getLogger(__name__)
 # labels
 # ---------------------------------------------------------------------------
 
-def append_auxiliary(y: int, n_classes: int) -> np.ndarray:
-    """One-hot of length n_classes + 1 with the ground-truth slot set."""
-    if not 0 <= y < n_classes:
-        raise InputError(f"label {y} out of range for {n_classes} classes")
-    out = np.zeros(n_classes + 1)
-    out[y] = 1.0
-    return out
-
-
-def auxiliary_target(n_classes: int) -> np.ndarray:
-    """One-hot with only the auxiliary slot (index n_classes) set."""
-    out = np.zeros(n_classes + 1)
-    out[-1] = 1.0
-    return out
-
-
-def augment_labels(y, n_classes: int) -> np.ndarray:
-    """Batch form of append_auxiliary: [B] class indices -> [B, n_classes+1]."""
+def one_hot(y, n_classes: int, aux: bool = False) -> np.ndarray:
+    """[B] class indices -> one-hot [B, n_classes]; with ``aux`` the rows gain
+    a trailing auxiliary slot (index n_classes) that is left unset."""
     y = np.asarray(y, dtype=np.int64)
     if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise InputError("labels out of range")
-    out = np.zeros((y.shape[0], n_classes + 1))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
-def one_hot(y, n_classes: int) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise InputError("labels out of range")
-    out = np.zeros((y.shape[0], n_classes))
+        raise InputError(f"labels out of range for {n_classes} classes")
+    out = np.zeros((y.shape[0], n_classes + aux))
     out[np.arange(y.shape[0]), y] = 1.0
     return out
 
@@ -72,51 +54,17 @@ def _as_label_matrix(labels, width: int, aux: bool) -> np.ndarray:
     return arr
 
 
-def _as_member_probs(probs) -> ad.Tensor:
-    """Member-major probabilities [M, B, C], from any accepted input form.
-
-    Accepts a [B, M, C] array, a member-major [M, B, C] Tensor, or a
-    sequence of M per-member [B, C] tensors (stacked, so gradients reach
-    each of them).
-    """
-    if isinstance(probs, ad.Tensor):
-        if probs.ndim != 3:
-            raise ConfigurationError("member-major probabilities must be [M, B, C]")
-        return probs
-    if isinstance(probs, np.ndarray):
-        if probs.ndim != 3:
-            raise ConfigurationError("stacked probabilities must be [B, M, C]")
-        return ad.as_tensor(np.ascontiguousarray(probs.transpose(1, 0, 2)))
-    members = [ad.as_tensor(p) for p in probs]
-    if not members:
-        raise ConfigurationError("no member probabilities supplied")
-    shapes = {tuple(t.shape) for t in members}
-    if len(shapes) != 1:
-        raise ConfigurationError(f"member probability shapes differ: {sorted(shapes)}")
-    if members[0].ndim != 2:
-        raise ConfigurationError("member probabilities must be [B, C]")
-    return ad.stack(members)
-
-
-def _as_member_losses(per_model_losses) -> ad.Tensor:
-    """Member-major losses [M, B] from a [B, M] array, an [M, B] Tensor, or M [B] vectors."""
-    if isinstance(per_model_losses, ad.Tensor):
-        out = per_model_losses
-    elif isinstance(per_model_losses, np.ndarray):
-        if per_model_losses.ndim != 2:
-            raise ConfigurationError("per-model losses must be [B, M]")
-        out = ad.as_tensor(np.ascontiguousarray(per_model_losses.T))
-    else:
-        out = ad.stack(per_model_losses)
-    if out.ndim != 2:
-        raise ConfigurationError("per-model losses must be [M, B]")
-    return out
+def _as_member_probs(probs: ad.Tensor) -> ad.Tensor:
+    """The member-major probabilities [M, B, C] that ``train`` passes, checked."""
+    if not isinstance(probs, ad.Tensor) or probs.ndim != 3:
+        raise ConfigurationError("probabilities must be a member-major [M, B, C] Tensor")
+    return probs
 
 
 def _aux_ce(p: ad.Tensor) -> ad.Tensor:
     """-log p_aux per member and example; the KL(aux one-hot || p) penalty term."""
     width = p.shape[-1]
-    return ad.cross_entropy_onehot(p, auxiliary_target(width - 1))
+    return ad.cross_entropy_onehot(p, one_hot([width - 1], width))
 
 
 def _masked_sums(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
@@ -135,11 +83,10 @@ def _penalized(p: ad.Tensor, ces: ad.Tensor, on: np.ndarray, penalty, weight: fl
     return terms
 
 
-def member_cross_entropies(probs, labels, aux: bool = False) -> ad.Tensor:
+def member_cross_entropies(probs, labels) -> ad.Tensor:
     """Member-major cross-entropies [M, B] against one-hot ``labels``."""
     p = _as_member_probs(probs)
-    lab = _as_label_matrix(labels, p.shape[-1], aux=aux)
-    return ad.cross_entropy_onehot(p, lab)
+    return ad.cross_entropy_onehot(p, _as_label_matrix(labels, p.shape[-1], aux=False))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +95,8 @@ def member_cross_entropies(probs, labels, aux: bool = False) -> ad.Tensor:
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty weights and the assignment schedule knobs."""
+    """Penalty weights and the assignment schedule knobs; ``TrainConfig``
+    takes its defaults for them from here."""
 
     beta: float = 0.75
     gamma: float = 0.75
@@ -256,26 +204,15 @@ def fix_specialization(counter: AssignmentCounter, k: int) -> SpecializationMatr
 
 
 # ---------------------------------------------------------------------------
-# objectives (sum form, matching the dataset-level definitions)
+# objectives: per-member terms [M] over member-major inputs; a batch's loss is
+# their sum
 # ---------------------------------------------------------------------------
 
-def _total(terms: ad.Tensor) -> ad.Tensor:
-    return terms.sum()
-
-
-def ie_loss_terms(per_model_losses) -> ad.Tensor:
-    """Per-member loss sums [M] for the independent-ensemble objective."""
-    return _as_member_losses(per_model_losses).sum(axis=1)
-
-
-def ie_loss(per_model_losses) -> ad.Tensor:
-    """Sum of every per-example, per-member loss."""
-    return _total(ie_loss_terms(per_model_losses))
-
-
-def oracle_loss(per_model_losses) -> float:
-    """Sum over examples of the minimum loss across members."""
-    return float(_as_member_losses(per_model_losses).data.min(axis=0).sum())
+def ie_loss_terms(per_model_losses: ad.Tensor) -> ad.Tensor:
+    """Per-member sums [M] of member-major losses [M, B]: the independent-ensemble objective."""
+    if not isinstance(per_model_losses, ad.Tensor) or per_model_losses.ndim != 2:
+        raise ConfigurationError("per-model losses must be a member-major [M, B] Tensor")
+    return per_model_losses.sum(axis=1)
 
 
 def _top_k_ces(probs, labels, k: int, aux: bool):
@@ -287,14 +224,13 @@ def _top_k_ces(probs, labels, k: int, aux: bool):
 
 
 def smcl_loss_terms(probs, labels, k: int):
-    """Top-K assigned cross-entropy terms [M] and the [B, M] assignment."""
+    """Top-K assigned cross-entropy terms [M] and the [B, M] assignment.
+
+    At K=1 the terms sum to the oracle loss: each example's smallest
+    cross-entropy across members.
+    """
     _, ces, v = _top_k_ces(probs, labels, k, aux=False)
     return _masked_sums(ces, v), v
-
-
-def smcl_loss(probs, labels, k: int):
-    terms, v = smcl_loss_terms(probs, labels, k)
-    return _total(terms), v
 
 
 def lba_loss_terms(probs, labels, cfg: PenaltyConfig):
@@ -307,28 +243,14 @@ def lba_loss_terms(probs, labels, cfg: PenaltyConfig):
     return _penalized(p, ces, v, _aux_ce, cfg.beta), v
 
 
-def lba_loss(probs, labels, cfg: PenaltyConfig):
-    terms, v = lba_loss_terms(probs, labels, cfg)
-    return _total(terms), v
-
-
-def mba_loss_terms(probs, labels, w: SpecializationMatrix, class_indices=None, cfg: PenaltyConfig | None = None):
+def mba_loss_terms(probs, labels, w: SpecializationMatrix, cfg: PenaltyConfig):
     """Memory-based assignment: flags come from the frozen matrix, not losses."""
     if not isinstance(w, SpecializationMatrix) or not w.frozen:
         raise StateError("memory-based assignment requires a frozen specialization matrix")
-    cfg = cfg or PenaltyConfig()
     p = _as_member_probs(probs)
     lab = _as_label_matrix(labels, p.shape[-1], aux=True)
-    ci = lab.argmax(axis=1) if class_indices is None else np.asarray(class_indices, dtype=np.int64)
-    if np.any(ci != lab.argmax(axis=1)):
-        raise InputError("class_indices disagree with the one-hot labels")
-    flags = w.rows_for(ci)
+    flags = w.rows_for(lab.argmax(axis=1))
     return _penalized(p, ad.cross_entropy_onehot(p, lab), flags, _aux_ce, cfg.gamma), flags
-
-
-def mba_loss(probs, labels, w: SpecializationMatrix, class_indices=None, cfg: PenaltyConfig | None = None) -> ad.Tensor:
-    terms, _ = mba_loss_terms(probs, labels, w, class_indices, cfg)
-    return _total(terms)
 
 
 def cmcl_loss_terms(probs, labels, cfg: PenaltyConfig):
@@ -339,11 +261,6 @@ def cmcl_loss_terms(probs, labels, cfg: PenaltyConfig):
     """
     p, ces, v = _top_k_ces(probs, labels, cfg.k, aux=False)
     return _penalized(p, ces, v, ad.kl_uniform_to, cfg.beta), v
-
-
-def cmcl_loss(probs, labels, cfg: PenaltyConfig):
-    terms, v = cmcl_loss_terms(probs, labels, cfg)
-    return _total(terms), v
 
 
 def amcl_objective_terms(
@@ -367,18 +284,5 @@ def amcl_objective_terms(
             "memory-based phase requested before the specialization was frozen "
             "(assignment counter empty or never fixed)"
         )
-    terms, flags = mba_loss_terms(probs, labels, specialization, cfg=cfg)
+    terms, flags = mba_loss_terms(probs, labels, specialization, cfg)
     return terms, flags, "mba"
-
-
-def amcl_objective(
-    epoch: int,
-    probs,
-    labels,
-    cfg: PenaltyConfig,
-    counter: AssignmentCounter | None = None,
-    specialization: SpecializationMatrix | None = None,
-):
-    """Scalar form of amcl_objective_terms: (loss, assignment, phase)."""
-    terms, v, phase = amcl_objective_terms(epoch, probs, labels, cfg, specialization)
-    return _total(terms), v, phase

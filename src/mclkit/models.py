@@ -75,7 +75,7 @@ class ArchitectureSpec:
         return (self.hidden_sizes[0],)
 
 
-def _he_uniform(rng: np.random.Generator, shape, fan_in: int, scale=1.0) -> np.ndarray:
+def he_uniform(rng: np.random.Generator, shape, fan_in: int, scale=1.0) -> np.ndarray:
     bound = scale * np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
@@ -107,7 +107,7 @@ def init_member(spec: ArchitectureSpec, member_index: int, seed: int) -> dict:
         else:
             fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
             scale = HEAD_INIT_SCALE if name.startswith(("fc.", "head.")) else 1.0
-            arrays[name] = _he_uniform(rng, shape, fan_in, scale)
+            arrays[name] = he_uniform(rng, shape, fan_in, scale)
     return arrays
 
 
@@ -177,15 +177,10 @@ class MemberModel:
             return ad.dense(h, p("fc.w"), p("fc.b"))
         return mlp_layers(self.spec, p, tap, 2)
 
-    def forward(self, x, injected_features=None):
-        """Run the member; returns (logits, own tap features).
-
-        When ``injected_features`` is given it replaces the member's own tap
-        output for the rest of the forward pass.
-        """
+    def forward(self, x):
+        """Run the member; returns (logits, own tap features)."""
         tap = self.forward_to_tap(x)
-        source = tap if injected_features is None else ad.as_tensor(injected_features)
-        return self.forward_from_tap(source), tap
+        return self.forward_from_tap(tap), tap
 
 
 def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor:
@@ -215,17 +210,3 @@ def build_member(spec: ArchitectureSpec, member_index: int, seed: int) -> Member
     of its own one-member layers."""
     return MemberModel(spec, stack_layers(spec, [init_member(spec, member_index, seed)]), 0)
 
-
-def forward_member(model: MemberModel, batch, injected_features=None):
-    """Module-level alias of MemberModel.forward."""
-    return model.forward(batch, injected_features=injected_features)
-
-
-def predict_proba(model: MemberModel, batch) -> np.ndarray:
-    """Softmax class probabilities, one row per example; rows sum to 1.
-
-    The forward runs under ``no_graph``, so it keeps no activations alive.
-    """
-    with ad.no_graph():
-        logits, _ = model.forward(batch)
-        return ad.softmax(logits, axis=-1).data

@@ -1,8 +1,9 @@
 """Training loops for the four ensemble objectives.
 
 One coordinator owns the loop. Each step builds one graph for all members:
-the member-major [M, B, C] forward, the objective's [M] per-member terms,
-one backward into the ensemble's [M, …] layers, and one in-place SGD update
+the member-major [M, B, C] forward, the objective's [M] per-member terms
+(``losses.*_loss_terms`` against ``losses.one_hot`` labels), one backward
+from their sum into the ensemble's [M, …] layers, and one in-place SGD update
 per layer. For CNN members with no fusion stage and AMCL_THREADS above 1
 (the default is 1), the members' conv trunks instead run on a thread pool:
 their logits meet in one detached [M, B, C] leaf, the objective
@@ -11,6 +12,9 @@ its slots of the shared layers. MLP members always run the member-axis
 forward. Every member's arithmetic is the same either way, so the thread
 count never changes a result. Steps run under ``autodiff.deferred_checks`` and
 are checked once; a failing one is replayed with per-op checks to name the op.
+
+``TrainConfig`` is the one source of training defaults; the CLI reads its
+own from it.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ from .autodiff import SgdConfig, SgdOptimizer
 from .data import LabeledDataset
 from .ensemble import EnsembleState, build_ensemble, ensemble_forward
 from .errors import ConfigurationError, NumericError, StateError
-from .evaluation import strip_auxiliary
+from .evaluation import purity_flow, strip_auxiliary
+from .losses import PenaltyConfig
 from .models import ArchitectureSpec
 
 log = logging.getLogger(__name__)
@@ -37,21 +42,25 @@ THREADS_ENV = "AMCL_THREADS"
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Settings of one training run. The SGD, penalty and layer-width knobs
+    take their defaults from ``SgdConfig``, ``PenaltyConfig`` and
+    ``ArchitectureSpec``; the CLI's ``ExperimentConfig`` reads its own here."""
+
     method: str
     members: int = 2
-    overlap_k: int = 1
+    overlap_k: int = PenaltyConfig.k
     epochs: int = 40
     batch_size: int = 64
     seed: int = 0
     sgd: SgdConfig = field(default_factory=SgdConfig)
-    beta: float = 0.75
-    gamma: float = 0.75
-    t_tau: int = 10
+    beta: float = PenaltyConfig.beta
+    gamma: float = PenaltyConfig.gamma
+    t_tau: int = PenaltyConfig.t_tau
     fusion: str = "none"
     p_share: float = 0.5
     arch_kind: str = "auto"  # auto | simple_cnn | mlp
-    conv_filters: tuple = (32, 64, 128)
-    hidden_sizes: tuple = (64, 64)
+    conv_filters: tuple = ArchitectureSpec.conv_filters
+    hidden_sizes: tuple = ArchitectureSpec.hidden_sizes
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -64,8 +73,8 @@ class TrainConfig:
             )
 
     @property
-    def penalty(self) -> losses.PenaltyConfig:
-        return losses.PenaltyConfig(
+    def penalty(self) -> PenaltyConfig:
+        return PenaltyConfig(
             beta=self.beta, gamma=self.gamma, k=self.overlap_k, t_tau=self.t_tau
         )
 
@@ -96,15 +105,9 @@ class TrainLog:
         with open(path, "w", newline="") as f:
             f.write("epoch,class,model,count,ratio\n")
             for r in self.records:
-                counts = r.assignment_counts
-                totals = counts.sum(axis=1)
-                for c in range(counts.shape[0]):
-                    for m in range(counts.shape[1]):
-                        ratio = float(counts[c, m] / totals[c]) if totals[c] else 0.0
-                        f.write(f"{r.epoch},{c},{m},{int(counts[c, m])},{ratio!r}\n")
-
-    def snapshots(self) -> list:
-        return [r.assignment_counts for r in self.records]
+                ratios = purity_flow([r.assignment_counts])[0]
+                for (c, m), count in np.ndenumerate(r.assignment_counts):
+                    f.write(f"{r.epoch},{c},{m},{int(count)},{float(ratios[c, m])!r}\n")
 
 
 def resolve_architecture(dataset: LabeledDataset, cfg: TrainConfig) -> ArchitectureSpec:
@@ -161,7 +164,7 @@ def _objective_terms(state, cfg, epoch, probs, y):
         terms, v = losses.cmcl_loss_terms(probs, losses.one_hot(y, n), cfg.penalty)
         return terms, v, "-"
     terms, v, phase = losses.amcl_objective_terms(
-        epoch, probs, losses.augment_labels(y, n), cfg.penalty, state.specialization
+        epoch, probs, losses.one_hot(y, n, aux=True), cfg.penalty, state.specialization
     )
     return terms, v, phase
 
@@ -187,7 +190,7 @@ def _step(state, cfg, epoch, x, y, share_rng, pool, held, deferred):
         probs = ad.softmax(logits, axis=-1)
         terms, v, phase = _objective_terms(state, cfg, epoch, probs, y)
         held[:] = [terms]
-        ad.backward(losses._total(terms), seed=1.0 / len(y))
+        ad.backward(terms.sum(), seed=1.0 / len(y))
         if pool is not None:
             on_pool(lambda m: ad.backward(member_logits[m], seed=logits.grad[m]))
     ad._check_finite(terms.data, "terms")

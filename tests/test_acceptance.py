@@ -137,17 +137,18 @@ def test_criterion_4_reduction_identities():
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         probs = e / e.sum(axis=-1, keepdims=True)
         y = rng.integers(0, n, size=b)
-        aug = ls.augment_labels(y, n)
+        aug = ls.one_hot(y, n, aux=True)
         cfg = ls.PenaltyConfig(beta=0.0, gamma=0.0, k=m)
 
         ces = np.stack(
             [[-np.log(max(probs[j, mm, y[j]], 1e-12)) for mm in range(m)] for j in range(b)]
         )
-        ie = float(ls.ie_loss(ces))
-        smcl = float(ls.smcl_loss(probs, aug, m)[0])
-        lba = float(ls.lba_loss(probs, aug, cfg)[0])
+        ie = float(ls.ie_loss_terms(ad.as_tensor(ces.T.copy())).sum())
+        member_major = ad.as_tensor(probs.transpose(1, 0, 2).copy())
+        smcl = float(ls.smcl_loss_terms(member_major, aug, m)[0].sum())
+        lba = float(ls.lba_loss_terms(member_major, aug, cfg)[0].sum())
         w = ls.SpecializationMatrix(w=np.ones((n, m), dtype=np.int64), k=m, frozen=True)
-        mba = float(ls.mba_loss(probs, aug, w, cfg=cfg))
+        mba = float(ls.mba_loss_terms(member_major, aug, w, cfg)[0].sum())
         worst = max(worst, abs(smcl - ie), abs(lba - ie), abs(mba - ie))
     check(4, "K=M with zero penalties reduces every objective to the plain sum",
           worst <= 1e-9, f"max deviation {worst:.2e}")

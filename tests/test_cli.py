@@ -295,3 +295,29 @@ def test_diverging_train_prints_no_numpy_warnings(tmp_path, dataset, threads, op
     assert proc.returncode == 3
     assert f"non-finite values produced by op '{op}'" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_compare_matches_train_then_eval(tmp_path, seeded):
+    # compare takes train's defaults and reseeds the training spec for its
+    # held-out set, so for the same method and flags its error strings are
+    # those of train followed by eval on the reseeded spec.
+    spec = "blobs:classes=3,per_class=30,dim=8,separation=2.0"
+    flags = ["--dataset", spec + (",seed=10" if seeded else ""), "--epochs", "3",
+             "--t-tau", "2", "--batch-size", "16", "--hidden", "16,16"]
+    eval_args = ["--dataset", spec + ",seed=11"] if seeded else ["--dataset", spec, "--seed", "1"]
+    result = CliRunner().invoke(main, ["compare", "--methods", "ie,amcl", *flags, "--out", str(tmp_path / "cmp")])
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()[1:]]
+    for method, oracle, top1, _, status in rows:
+        assert status == "ok"
+        run = tmp_path / method
+        result = CliRunner().invoke(main, ["train", "--method", method, *flags, "--out", str(run)])
+        assert result.exit_code == 0, result.output
+        result = CliRunner().invoke(
+            main, ["eval", "--checkpoint", str(run / "checkpoint.amc1"), *eval_args, "--out", str(run / "eval")]
+        )
+        assert result.exit_code == 0, result.output
+        errors = (run / "eval" / "errors.csv").read_text().splitlines()[1].split(",")
+        assert [oracle, top1] == errors[:2]
+    assert any(float(row[2]) > 0.0 for row in rows)  # the comparison is not between zeros

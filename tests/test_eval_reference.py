@@ -144,7 +144,6 @@ def _ops(root):
 def test_inject_at_unit_scale_records_no_mul(spatial):
     tap_shape = (4, 3, 3) if spatial else (6,)
     fusion = FusionModule(members=2, tap_shape=tap_shape, seed=1)
-    assert fusion.residual_scale == 1.0
     rng = np.random.default_rng(2)
     fused = ad.Tensor(rng.normal(size=(5, *tap_shape)), op="param")
     own = ad.Tensor(rng.normal(size=(5, *tap_shape)), op="param")

@@ -21,38 +21,65 @@ def random_probs(rng, b, m, c):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def member_major(probs):
+    """[B, M, C] probabilities as the member-major [M, B, C] Tensor the objectives take."""
+    return ad.as_tensor(np.ascontiguousarray(np.asarray(probs, dtype=np.float64).transpose(1, 0, 2)))
+
+
+def member_losses(mat):
+    """[B, M] per-example, per-member losses as a member-major [M, B] Tensor."""
+    return ad.as_tensor(np.ascontiguousarray(np.asarray(mat, dtype=np.float64).T))
+
+
+def oracle_and_ie(mat):
+    """(smcl at K=1, ie) totals over the cross-entropies ``mat`` [B, M].
+
+    smcl at K=1 is the oracle loss: each example's smallest loss across
+    members. Probabilities exp(-loss) on true class 0 of two give those
+    cross-entropies up to rounding.
+    """
+    p0 = np.exp(-np.asarray(mat, dtype=np.float64))
+    probs = member_major(np.stack([p0, 1.0 - p0], axis=-1))
+    labels = ls.one_hot(np.zeros(p0.shape[0], dtype=np.int64), 2)
+    oracle, _ = ls.smcl_loss_terms(probs, labels, 1)
+    ie = ls.ie_loss_terms(ls.member_cross_entropies(probs, labels))
+    return float(oracle.sum()), float(ie.sum())
+
+
 # ---------------------------------------------------------------------------
 # labels
 # ---------------------------------------------------------------------------
 
 def test_append_auxiliary_basic():
-    assert np.array_equal(ls.append_auxiliary(0, 2), [1, 0, 0])
-    assert np.array_equal(ls.append_auxiliary(1, 2), [0, 1, 0])
+    assert np.array_equal(ls.one_hot([0, 1], 2, aux=True), [[1, 0, 0], [0, 1, 0]])
 
 
 def test_auxiliary_target():
-    assert np.array_equal(ls.auxiliary_target(2), [0, 0, 1])
+    # the target of the auxiliary penalty: one-hot on the last slot
+    assert np.array_equal(ls.one_hot([2], 3), [[0, 0, 1]])
 
 
 def test_append_auxiliary_range_check():
     with pytest.raises(InputError):
-        ls.append_auxiliary(2, 2)
+        ls.one_hot([2], 2, aux=True)
     with pytest.raises(InputError):
-        ls.append_auxiliary(-1, 2)
+        ls.one_hot([-1], 2, aux=True)
 
 
 def test_augment_labels_matches_scalar_form():
     y = np.array([0, 2, 1])
-    batch = ls.augment_labels(y, 3)
+    batch = ls.one_hot(y, 3, aux=True)
     for j, yj in enumerate(y):
-        assert np.array_equal(batch[j], ls.append_auxiliary(int(yj), 3))
+        assert np.array_equal(batch[j], ls.one_hot([yj], 3, aux=True)[0])
+    assert np.array_equal(batch[:, :3], ls.one_hot(y, 3))
+    assert not batch[:, 3].any()
 
 
 def test_aux_kl_is_exactly_neg_log_clamped_aux_probability():
     rng = np.random.default_rng(44)
     for _ in range(50):
         p = rng.dirichlet(np.ones(4))
-        val = float(ad.kl_to_onehot(ls.auxiliary_target(3), ad.Tensor(p)))
+        val = ls._aux_ce(ad.Tensor(p)).data.item()
         assert val == -np.log(np.clip(p[-1], 1e-12, 1.0))
 
 
@@ -61,24 +88,26 @@ def test_aux_kl_is_exactly_neg_log_clamped_aux_probability():
 # ---------------------------------------------------------------------------
 
 def test_ie_loss_sums_everything():
-    assert float(ls.ie_loss(np.array([[1.0, 2.0], [3.0, 4.0]]))) == 10.0
-    assert float(ls.ie_loss(np.zeros((3, 2)))) == 0.0
+    assert float(ls.ie_loss_terms(member_losses([[1.0, 2.0], [3.0, 4.0]])).sum()) == 10.0
+    assert float(ls.ie_loss_terms(member_losses(np.zeros((3, 2)))).sum()) == 0.0
 
 
 def test_oracle_loss_row_minima():
-    assert ls.oracle_loss(np.array([[1.0, 2.0], [3.0, 0.5]])) == 1.5
+    oracle, _ = oracle_and_ie(np.array([[1.0, 2.0], [3.0, 0.5]]))
+    assert oracle == pytest.approx(1.5, abs=1e-12)
 
 
 def test_oracle_equals_ie_for_single_model():
-    col = RNG.uniform(size=(7, 1))
-    assert ls.oracle_loss(col) == pytest.approx(float(ls.ie_loss(col)), abs=1e-12)
+    oracle, ie = oracle_and_ie(RNG.uniform(size=(7, 1)))
+    assert oracle == pytest.approx(ie, abs=1e-12)
 
 
 def test_oracle_never_exceeds_row_means():
     # brute-force row check: min <= mean per row, so oracle <= ie / M
     for _ in range(100):
         mat = RNG.uniform(size=(6, 4))
-        assert ls.oracle_loss(mat) <= float(ls.ie_loss(mat)) / mat.shape[1] + 1e-12
+        oracle, ie = oracle_and_ie(mat)
+        assert oracle <= ie / mat.shape[1] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +169,10 @@ def test_assign_top_k_rows_always_sum_to_k(mat, k):
 
 def test_lba_beta_zero_is_assigned_loss_only():
     probs = random_probs(RNG, 4, 3, 4)
-    labels = ls.augment_labels(np.array([0, 1, 2, 0]), 3)
+    labels = ls.one_hot(np.array([0, 1, 2, 0]), 3, aux=True)
     cfg = ls.PenaltyConfig(beta=0.0, gamma=0.0, k=1)
-    loss, v = ls.lba_loss(probs, labels, cfg)
+    terms, v = ls.lba_loss_terms(member_major(probs), labels, cfg)
+    loss = terms.sum()
     y = np.array([0, 1, 2, 0])
     ces = -np.log(probs[np.arange(4)[:, None], np.arange(3)[None, :], y[:, None]])
     expected = (ces * v).sum()
@@ -153,9 +183,10 @@ def test_lba_hand_example():
     # B=1, M=2, K=1: losses [-log 0.7, -log 0.1] assign model 0; the other
     # model pays beta * (-log p_aux) with p_aux = 0.7
     probs = np.array([[[0.7, 0.2, 0.1], [0.1, 0.2, 0.7]]])
-    labels = ls.augment_labels(np.array([0]), 2)
+    labels = ls.one_hot(np.array([0]), 2, aux=True)
     beta = 0.75
-    loss, v = ls.lba_loss(probs, labels, ls.PenaltyConfig(beta=beta, k=1))
+    terms, v = ls.lba_loss_terms(member_major(probs), labels, ls.PenaltyConfig(beta=beta, k=1))
+    loss = terms.sum()
     assert np.array_equal(v, [[1, 0]])
     expected = -math.log(0.7) + beta * -math.log(0.7)
     assert float(loss) == pytest.approx(expected, abs=1e-9)
@@ -164,10 +195,10 @@ def test_lba_hand_example():
 
 def test_lba_perfectly_specialized_is_global_minimum():
     probs = np.array([[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
-    labels = ls.augment_labels(np.array([0]), 2)
+    labels = ls.one_hot(np.array([0]), 2, aux=True)
     for beta in (0.0, 0.75, 10.0):
-        loss, _ = ls.lba_loss(probs, labels, ls.PenaltyConfig(beta=beta, k=1))
-        assert float(loss) == 0.0
+        terms, _ = ls.lba_loss_terms(member_major(probs), labels, ls.PenaltyConfig(beta=beta, k=1))
+        assert float(terms.sum()) == 0.0
 
 
 def test_lba_rejects_aux_hot_labels():
@@ -175,14 +206,14 @@ def test_lba_rejects_aux_hot_labels():
     bad = np.zeros((2, 3))
     bad[:, 2] = 1.0
     with pytest.raises(InputError):
-        ls.lba_loss(probs, bad, ls.PenaltyConfig(k=1))
+        ls.lba_loss_terms(member_major(probs), bad, ls.PenaltyConfig(k=1))
 
 
 def test_lba_assignment_rows_sum_to_k_every_batch():
     for k in (1, 2, 3):
         probs = random_probs(RNG, 8, 3, 5)
-        labels = ls.augment_labels(RNG.integers(0, 4, size=8), 4)
-        _, v = ls.lba_loss(probs, labels, ls.PenaltyConfig(k=k))
+        labels = ls.one_hot(RNG.integers(0, 4, size=8), 4, aux=True)
+        _, v = ls.lba_loss_terms(member_major(probs), labels, ls.PenaltyConfig(k=k))
         assert (v.sum(axis=1) == k).all()
 
 
@@ -276,20 +307,20 @@ def _frozen(wmat, k=1):
 def test_mba_reads_assignment_from_w_not_losses():
     # model 0 has the lowest loss but w routes class 0 to model 1
     probs = np.array([[[0.9, 0.05, 0.05], [0.3, 0.2, 0.5]]])
-    labels = ls.augment_labels(np.array([0]), 2)
+    labels = ls.one_hot(np.array([0]), 2, aux=True)
     w = _frozen([[0, 1], [1, 0]])
     cfg = ls.PenaltyConfig(gamma=0.5)
-    loss = ls.mba_loss(probs, labels, w, cfg=cfg)
+    loss = ls.mba_loss_terms(member_major(probs), labels, w, cfg)[0].sum()
     expected = -math.log(0.3) + 0.5 * -math.log(0.05)
     assert float(loss) == pytest.approx(expected, abs=1e-9)
 
 
 def test_mba_hand_example_term_by_term():
     probs = np.array([[[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]]])
-    labels = ls.augment_labels(np.array([1]), 2)
+    labels = ls.one_hot(np.array([1]), 2, aux=True)
     w = _frozen([[1, 0], [0, 1]])
     gamma = 0.75
-    loss = ls.mba_loss(probs, labels, w, cfg=ls.PenaltyConfig(gamma=gamma))
+    loss = ls.mba_loss_terms(member_major(probs), labels, w, ls.PenaltyConfig(gamma=gamma))[0].sum()
     # class 1 -> model 1 gets the ground-truth term, model 0 the aux penalty
     expected = gamma * -math.log(0.1) + -math.log(0.5)
     assert float(loss) == pytest.approx(expected, abs=1e-9)
@@ -297,29 +328,29 @@ def test_mba_hand_example_term_by_term():
 
 def test_mba_requires_frozen_matrix():
     probs = random_probs(RNG, 2, 2, 3)
-    labels = ls.augment_labels(np.array([0, 1]), 2)
+    labels = ls.one_hot(np.array([0, 1]), 2, aux=True)
     unfrozen = ls.SpecializationMatrix(w=np.eye(2, dtype=np.int64), k=1, frozen=False)
     with pytest.raises(StateError):
-        ls.mba_loss(probs, labels, unfrozen)
+        ls.mba_loss_terms(member_major(probs), labels, unfrozen, ls.PenaltyConfig())
 
 
 def test_mba_gamma_zero_all_ones_w_equals_ie():
     probs = random_probs(RNG, 4, 2, 4)
-    labels = ls.augment_labels(np.array([0, 1, 2, 0]), 3)
+    labels = ls.one_hot(np.array([0, 1, 2, 0]), 3, aux=True)
     w = _frozen(np.ones((3, 2), dtype=np.int64), k=2)
-    loss = ls.mba_loss(probs, labels, w, cfg=ls.PenaltyConfig(gamma=0.0, k=2))
+    loss = ls.mba_loss_terms(member_major(probs), labels, w, ls.PenaltyConfig(gamma=0.0, k=2))[0].sum()
     ces = np.stack(
         [[-math.log(probs[j, m, y]) for m in range(2)] for j, y in enumerate([0, 1, 2, 0])]
     )
-    assert float(loss) == pytest.approx(float(ls.ie_loss(ces)), abs=1e-9)
+    assert float(loss) == pytest.approx(float(ls.ie_loss_terms(member_losses(ces)).sum()), abs=1e-9)
 
 
 def test_mba_assignment_depends_only_on_class_after_freeze():
     w = _frozen([[1, 0], [0, 1]])
-    labels = ls.augment_labels(np.array([0, 0, 1]), 2)
+    labels = ls.one_hot(np.array([0, 0, 1]), 2, aux=True)
     for _ in range(5):
         probs = random_probs(RNG, 3, 2, 3)
-        terms, flags = ls.mba_loss_terms(probs, labels, w)
+        terms, flags = ls.mba_loss_terms(member_major(probs), labels, w, ls.PenaltyConfig())
         assert np.array_equal(flags, [[1, 0], [1, 0], [0, 1]])
 
 
@@ -330,27 +361,27 @@ def test_mba_assignment_depends_only_on_class_after_freeze():
 def test_cmcl_uniform_unassigned_pays_nothing():
     probs = np.array([[[1.0, 0.0], [0.5, 0.5]]])
     labels = ls.one_hot(np.array([0]), 2)
-    loss, v = ls.cmcl_loss(probs, labels, ls.PenaltyConfig(beta=0.75, k=1))
+    terms, v = ls.cmcl_loss_terms(member_major(probs), labels, ls.PenaltyConfig(beta=0.75, k=1))
     assert np.array_equal(v, [[1, 0]])
-    assert float(loss) == pytest.approx(0.0, abs=1e-9)
+    assert float(terms.sum()) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cmcl_beta_zero_reduces_to_smcl():
     probs = random_probs(RNG, 5, 3, 4)
     labels = ls.one_hot(RNG.integers(0, 4, size=5), 4)
-    a, va = ls.cmcl_loss(probs, labels, ls.PenaltyConfig(beta=0.0, k=2))
-    b, vb = ls.smcl_loss(probs, labels, 2)
+    a, va = ls.cmcl_loss_terms(member_major(probs), labels, ls.PenaltyConfig(beta=0.0, k=2))
+    b, vb = ls.smcl_loss_terms(member_major(probs), labels, 2)
     assert np.array_equal(va, vb)
-    assert float(a) == pytest.approx(float(b), abs=1e-12)
+    assert float(a.sum()) == pytest.approx(float(b.sum()), abs=1e-12)
 
 
 def test_cmcl_hand_penalty_value():
     probs = np.array([[[1.0, 0.0], [0.75, 0.25]]])
     labels = ls.one_hot(np.array([0]), 2)
     beta = 0.6
-    loss, v = ls.cmcl_loss(probs, labels, ls.PenaltyConfig(beta=beta, k=1))
+    terms, v = ls.cmcl_loss_terms(member_major(probs), labels, ls.PenaltyConfig(beta=beta, k=1))
     assert np.array_equal(v, [[1, 0]])
-    assert float(loss) == pytest.approx(beta * 0.14384103622589042, abs=1e-9)
+    assert float(terms.sum()) == pytest.approx(beta * 0.14384103622589042, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -359,30 +390,30 @@ def test_cmcl_hand_penalty_value():
 
 def test_amcl_dispatch_boundary():
     probs = random_probs(RNG, 3, 2, 4)
-    labels = ls.augment_labels(np.array([0, 1, 2]), 3)
+    labels = ls.one_hot(np.array([0, 1, 2]), 3, aux=True)
     cfg = ls.PenaltyConfig(k=1, t_tau=5)
     w = _frozen([[1, 0], [0, 1], [1, 0]])
-    _, _, phase = ls.amcl_objective(5, probs, labels, cfg, specialization=w)
+    _, _, phase = ls.amcl_objective_terms(5, member_major(probs), labels, cfg, specialization=w)
     assert phase == "lba"
-    _, _, phase = ls.amcl_objective(6, probs, labels, cfg, specialization=w)
+    _, _, phase = ls.amcl_objective_terms(6, member_major(probs), labels, cfg, specialization=w)
     assert phase == "mba"
 
 
 def test_amcl_mba_before_freeze_raises():
     probs = random_probs(RNG, 2, 2, 3)
-    labels = ls.augment_labels(np.array([0, 1]), 2)
+    labels = ls.one_hot(np.array([0, 1]), 2, aux=True)
     cfg = ls.PenaltyConfig(k=1, t_tau=0)
     with pytest.raises(StateError):
-        ls.amcl_objective(1, probs, labels, cfg)
+        ls.amcl_objective_terms(1, member_major(probs), labels, cfg)
 
 
 def test_amcl_lba_branch_matches_lba_loss():
     probs = random_probs(RNG, 4, 3, 5)
-    labels = ls.augment_labels(np.array([0, 1, 2, 3]), 4)
+    labels = ls.one_hot(np.array([0, 1, 2, 3]), 4, aux=True)
     cfg = ls.PenaltyConfig(k=2, t_tau=10)
-    a, va, _ = ls.amcl_objective(3, probs, labels, cfg)
-    b, vb = ls.lba_loss(probs, labels, cfg)
-    assert float(a) == float(b)
+    a, va, _ = ls.amcl_objective_terms(3, member_major(probs), labels, cfg)
+    b, vb = ls.lba_loss_terms(member_major(probs), labels, cfg)
+    assert float(a.sum()) == float(b.sum())
     assert np.array_equal(va, vb)
 
 
@@ -397,37 +428,37 @@ def test_k_equals_m_and_zero_penalties_reduce_to_ie():
         probs = random_probs(rng, b, m, n + 1)
         probs_plain = random_probs(rng, b, m, n)
         y = rng.integers(0, n, size=b)
-        aug = ls.augment_labels(y, n)
+        aug = ls.one_hot(y, n, aux=True)
         plain = ls.one_hot(y, n)
         cfg = ls.PenaltyConfig(beta=0.0, gamma=0.0, k=m)
 
         ces_aug = np.stack(
             [[float(ad.cross_entropy_onehot(ad.Tensor(probs[j, mm]), aug[j])) for mm in range(m)] for j in range(b)]
         )
-        ie_aug = float(ls.ie_loss(ces_aug))
-        lba, _ = ls.lba_loss(probs, aug, cfg)
+        ie_aug = float(ls.ie_loss_terms(member_losses(ces_aug)).sum())
+        lba, _ = ls.lba_loss_terms(member_major(probs), aug, cfg)
         w = ls.SpecializationMatrix(w=np.ones((n, m), dtype=np.int64), k=m, frozen=True)
-        mba = ls.mba_loss(probs, aug, w, cfg=cfg)
-        assert abs(float(lba) - ie_aug) <= 1e-9
-        assert abs(float(mba) - ie_aug) <= 1e-9
+        mba, _ = ls.mba_loss_terms(member_major(probs), aug, w, cfg)
+        assert abs(float(lba.sum()) - ie_aug) <= 1e-9
+        assert abs(float(mba.sum()) - ie_aug) <= 1e-9
 
         ces_plain = np.stack(
             [[float(ad.cross_entropy_onehot(ad.Tensor(probs_plain[j, mm]), plain[j])) for mm in range(m)] for j in range(b)]
         )
-        ie_plain = float(ls.ie_loss(ces_plain))
-        smcl, _ = ls.smcl_loss(probs_plain, plain, m)
-        assert abs(float(smcl) - ie_plain) <= 1e-9
+        ie_plain = float(ls.ie_loss_terms(member_losses(ces_plain)).sum())
+        smcl, _ = ls.smcl_loss_terms(member_major(probs_plain), plain, m)
+        assert abs(float(smcl.sum()) - ie_plain) <= 1e-9
 
 
 def test_smcl_at_k_m_equals_ie_examplewise():
     probs = random_probs(RNG, 4, 2, 3)
     labels = ls.one_hot(np.array([0, 1, 2, 1]), 3)
-    smcl, v = ls.smcl_loss(probs, labels, 2)
+    smcl, v = ls.smcl_loss_terms(member_major(probs), labels, 2)
     ces = np.stack(
         [[-math.log(max(probs[j, m, y], 1e-12)) for m in range(2)] for j, y in enumerate([0, 1, 2, 1])]
     )
     assert np.array_equal(v, np.ones((4, 2), dtype=np.int64))
-    assert float(smcl) == pytest.approx(float(ls.ie_loss(ces)), abs=1e-9)
+    assert float(smcl.sum()) == pytest.approx(float(ls.ie_loss_terms(member_losses(ces)).sum()), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -440,19 +471,23 @@ def _objective_grad_case(kind):
     rng = np.random.default_rng(list(kind.encode()))
     b, m, n = 3, 2, 3
     logits = [ad.Tensor(rng.normal(size=(b, n + 1)), op="param") for _ in range(m)]
-    labels = ls.augment_labels(rng.integers(0, n, size=b), n)
+    labels = ls.one_hot(rng.integers(0, n, size=b), n, aux=True)
     cfg = ls.PenaltyConfig(beta=0.7, gamma=0.4, k=1, t_tau=3)
+
+    def probs(params):
+        return ad.stack([ad.softmax(lg) for lg in params])
+
     if kind == "lba":
-        build = lambda: ls.lba_loss([ad.softmax(lg) for lg in logits], labels, cfg)[0]
+        build = lambda: ls.lba_loss_terms(probs(logits), labels, cfg)[0].sum()
     elif kind == "mba":
         w = ls.SpecializationMatrix(
             w=ls.assign_top_k(rng.uniform(size=(n, m)), 1), k=1, frozen=True
         )
-        build = lambda: ls.mba_loss([ad.softmax(lg) for lg in logits], labels, w, cfg=cfg)
+        build = lambda: ls.mba_loss_terms(probs(logits), labels, w, cfg)[0].sum()
     else:
         plain_logits = [ad.Tensor(rng.normal(size=(b, n)), op="param") for _ in range(m)]
         plain = ls.one_hot(rng.integers(0, n, size=b), n)
-        build = lambda: ls.cmcl_loss([ad.softmax(lg) for lg in plain_logits], plain, cfg)[0]
+        build = lambda: ls.cmcl_loss_terms(probs(plain_logits), plain, cfg)[0].sum()
         return build, plain_logits
     return build, logits
 
@@ -468,9 +503,10 @@ def test_objective_gradients_match_finite_differences(kind):
 def test_lba_unassigned_member_gets_only_penalty_gradient():
     rng = np.random.default_rng(3)
     logits = [ad.Tensor(rng.normal(size=(1, 3)), op="param") for _ in range(2)]
-    labels = ls.augment_labels(np.array([0]), 2)
-    loss, v = ls.lba_loss([ad.softmax(lg) for lg in logits], labels, ls.PenaltyConfig(beta=0.0, k=1))
-    loss.backward()
+    labels = ls.one_hot(np.array([0]), 2, aux=True)
+    probs = ad.stack([ad.softmax(lg) for lg in logits])
+    terms, v = ls.lba_loss_terms(probs, labels, ls.PenaltyConfig(beta=0.0, k=1))
+    terms.sum().backward()
     unassigned = int(np.flatnonzero(v[0] == 0)[0])
     assert np.allclose(logits[unassigned].grad, 0.0)
     assigned = int(np.flatnonzero(v[0] == 1)[0])

@@ -4,9 +4,16 @@ import pytest
 
 import mclkit.autodiff as ad
 from mclkit.errors import ConfigurationError
-from mclkit.models import ArchitectureSpec, build_member, forward_member, predict_proba
+from mclkit.models import ArchitectureSpec, build_member
 
 RNG = np.random.default_rng(42)
+
+def predict_proba(model, batch):
+    """Softmax class probabilities of one member, forwarded under ``no_graph``."""
+    with ad.no_graph():
+        logits, _ = model.forward(batch)
+        return ad.softmax(logits, axis=-1).data
+
 
 CNN_SPEC = ArchitectureSpec(kind="simple_cnn", input_shape=(1, 16, 16), n_classes=2)
 MLP_SPEC = ArchitectureSpec(kind="mlp", input_shape=(8,), n_classes=3, hidden_sizes=(16, 16))
@@ -51,7 +58,7 @@ def test_unsupported_kind_rejected():
 
 def test_forward_member_shape_contract():
     model = build_member(MLP_SPEC, 0, seed=2)
-    logits, tap = forward_member(model, RNG.normal(size=(6, 8)))
+    logits, tap = model.forward(RNG.normal(size=(6, 8)))
     assert logits.shape == (6, 4)
     assert tap.shape == (6, 16)
 
@@ -66,15 +73,14 @@ def test_injecting_own_tap_is_identity():
     model = build_member(CNN_SPEC, 0, seed=3)
     x = RNG.uniform(size=(2, 1, 16, 16))
     logits_plain, tap = model.forward(x)
-    logits_inj, _ = model.forward(x, injected_features=tap.data)
+    logits_inj = model.forward_from_tap(tap.data)
     assert np.array_equal(logits_plain.data, logits_inj.data)
 
 
 def test_injected_tap_shape_checked():
     model = build_member(CNN_SPEC, 0, seed=3)
-    x = RNG.uniform(size=(2, 1, 16, 16))
     with pytest.raises(ConfigurationError):
-        model.forward(x, injected_features=RNG.normal(size=(2, 16, 16, 16)))
+        model.forward_from_tap(RNG.normal(size=(2, 16, 16, 16)))
 
 
 def test_two_members_same_input_different_logits():

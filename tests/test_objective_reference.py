@@ -28,7 +28,7 @@ def _case(kind, m, k, weight):
     # Large logits push some probabilities under the log clamp.
     logits = rng.normal(scale=10.0, size=(m, B, width))
     y = rng.integers(0, N_CLASSES, size=B)
-    labels = ls.augment_labels(y, N_CLASSES) if aux else ls.one_hot(y, N_CLASSES)
+    labels = ls.one_hot(y, N_CLASSES, aux=aux)
     w = np.zeros((N_CLASSES, m), dtype=np.int64)
     np.put_along_axis(w, rng.permuted(np.tile(np.arange(m), (N_CLASSES, 1)), axis=1)[:, :k], 1, axis=1)
     return logits, labels, w
@@ -45,7 +45,7 @@ def _new_terms(kind, probs, labels, k, weight, w):
     if kind == "lba":
         return ls.lba_loss_terms(probs, labels, cfg)
     spec = ls.SpecializationMatrix(w=w, k=k, frozen=True)
-    return ls.mba_loss_terms(probs, labels, spec, cfg=cfg)
+    return ls.mba_loss_terms(probs, labels, spec, cfg)
 
 
 def _ref_terms(kind, members, labels, k, weight, w):
@@ -74,15 +74,15 @@ def test_member_axis_objective_matches_loop_form_bitwise(kind, m, k, weight, for
     ad.backward(reduce(add, ref_terms))
 
     new_logits = _params(logits)
-    if form == "list":
-        probs = [ad.softmax(lg) for lg in new_logits]
+    if form == "list":  # per-member softmaxes, stacked member-major
+        probs = ad.stack([ad.softmax(lg) for lg in new_logits])
     else:
         probs = ad.softmax(ad.stack(new_logits))
     terms, v = _new_terms(kind, probs, labels, k, weight, w)
     assert terms.shape == (m,)
-    ad.backward(ls._total(terms))
+    ad.backward(terms.sum())
 
-    assert terms.data.tobytes() == np.array([t.item() for t in ref_terms]).tobytes()
+    assert terms.data.tobytes() == np.array([float(t) for t in ref_terms]).tobytes()
     if v is not None:
         assert np.array_equal(v, ref_v)
     for a, b in zip(new_logits, ref_logits):
@@ -94,7 +94,8 @@ def test_array_input_terms_match_loop_form_bitwise(kind):
     logits, labels, w = _case(kind, 3, 1, 0.75)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
-    terms, v = _new_terms(kind, probs.transpose(1, 0, 2), labels, 1, 0.75, w)
+    # A constant member-major array: no graph behind the probabilities.
+    terms, v = _new_terms(kind, ad.as_tensor(probs), labels, 1, 0.75, w)
     ref_terms, ref_v = _ref_terms(kind, [ad.as_tensor(p) for p in probs], labels, 1, 0.75, w)
-    assert terms.data.tobytes() == np.array([t.item() for t in ref_terms]).tobytes()
+    assert terms.data.tobytes() == np.array([float(t) for t in ref_terms]).tobytes()
     assert np.array_equal(v, ref_v)

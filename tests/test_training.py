@@ -53,7 +53,7 @@ def _one_batch_grads(method, k=1, fusion="none"):
     else:
         ces = ls.member_cross_entropies(probs, ls.one_hot(y, 2))
         terms, v = ls.ie_loss_terms(ces), np.ones((1, 2), dtype=np.int64)
-    ad.backward(ls._total(terms))
+    ad.backward(terms.sum())
     norms = [
         max(np.abs(p.grad[m]).max() for p in state.layers.values())
         for m in range(len(state.members))

@@ -94,6 +94,12 @@ def _normalized(averaged: np.ndarray) -> np.ndarray:
     safe = np.where(totals > 0.0, totals, 1.0)
     out = averaged / safe
     out[rejected] = 0.0
+    # The division can round a class that trailed the winner by an ulp up to
+    # a tie with it, and argmax then picks the earlier class. Raise such a
+    # winner by one ulp so normalizing never changes the predicted class.
+    win = averaged.argmax(axis=1)
+    rows = np.flatnonzero(out.argmax(axis=1) != win)
+    out[rows, win[rows]] = np.nextafter(out[rows, win[rows]], np.inf)
     return out
 
 

@@ -29,13 +29,7 @@ def softmax_cross_entropy(x, t):
 def ensemble_average(stripped, normalize=False):
     arr = np.asarray(stripped, dtype=np.float64)
     if arr.ndim == 2:
-        averaged = arr.mean(axis=0)
-        if not normalize:
-            return averaged
-        total = averaged.sum()
-        if total <= 0.0:
-            return np.zeros_like(averaged)
-        return averaged / total
+        return ensemble_average(arr[None], normalize)[0]
     averaged = arr.mean(axis=1)
     if not normalize:
         return averaged
@@ -44,6 +38,10 @@ def ensemble_average(stripped, normalize=False):
     safe = np.where(totals > 0.0, totals, 1.0)
     out = averaged / safe
     out[rejected] = 0.0
+    for r in range(out.shape[0]):  # a winner that the division tied with an earlier class
+        w = averaged[r].argmax()
+        if out[r].argmax() != w:
+            out[r, w] = np.nextafter(out[r, w], np.inf)
     return out
 
 

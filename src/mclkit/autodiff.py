@@ -10,9 +10,14 @@ gradient: ops record such operands as no parent where they can, and
 ``no_graph()`` ops record nothing, so a forward whose gradient nobody reads
 keeps no activations alive; inside ``deferred_checks()`` they check no
 finiteness. Ensemble members share one graph through a leading member axis:
-parameters are stored [M, …], ``matmul`` takes [M, n, k] operands, ``take``
-reads one member's slot and ``stack`` joins per-member results.
-Desk-scale by design: no dtype zoo, no graph rewriting.
+parameters are stored [M, …], ``matmul`` and ``dense`` take [M, n, k]
+operands, ``take`` reads one member's slot and ``stack`` joins per-member
+results. Each layer and each objective term is one node: ``dense`` (matmul,
+bias and relu), ``cross_entropy_onehot``, ``kl_uniform_to`` and
+``masked_sum`` run, forward and backward, the same numpy expressions in the
+same order as the chains of elementwise ops they stand for, so their values
+and gradients are bit-identical to those chains'; only the per-node graph
+overhead is saved. Desk-scale by design: no dtype zoo, no graph rewriting.
 """
 from __future__ import annotations
 
@@ -171,6 +176,8 @@ def as_tensor(x) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum the broadcast axes of ``grad`` so it matches ``shape``."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -186,17 +193,20 @@ def _make(data, parents, op, backward_fn) -> Tensor:
     return Tensor(data, parents=parents, op=op, backward_fn=backward_fn)
 
 
-def _make_pruned(data, inputs, op, grad_fns) -> Tensor:
+def _make_pruned(data, inputs, op, grad_fns, pre=None) -> Tensor:
     """``_make`` recording only the inputs that need a gradient.
 
     ``grad_fns[i]`` maps the output gradient to input i's gradient; it is
-    never called for a constant or input-batch operand.
+    never called for a constant or input-batch operand. ``pre``, if given,
+    maps the output gradient once before any ``grad_fns[i]`` reads it.
     """
     if not _graph.recording:
         return Tensor(data, op=op)
     kept = [(t, fn) for t, fn in zip(inputs, grad_fns) if t.requires_grad]
 
     def back(g):
+        if pre is not None:
+            g = pre(g)
         return tuple(fn(g) for _, fn in kept)
 
     return _make(data, tuple(t for t, _ in kept), op, back)
@@ -242,16 +252,38 @@ def matmul(a, b) -> Tensor:
     member, and each member's slice of the product (and of its gradients)
     is the same GEMM as the 2-D product of that member's operands.
     """
+    return _affine(a, b, None, False, "matmul")
+
+
+def _affine(a, b, bias, relu: bool, op: str) -> Tensor:
+    """``a @ b``, plus ``bias`` added in place, then relu in place, as one node."""
     a, b = as_tensor(a), as_tensor(b)
     x, y = a.data, b.data
     if x.ndim not in (2, 3) or y.ndim not in (2, 3):
-        raise ConfigurationError("matmul expects 2-D operands or a leading member axis")
+        raise ConfigurationError(f"{op} expects 2-D operands or a leading member axis")
     if x.shape[-1] != y.shape[-2] or (x.ndim == y.ndim == 3 and x.shape[0] != y.shape[0]):
-        raise ConfigurationError(f"matmul shape mismatch: {x.shape} @ {y.shape}")
-    return _make_pruned(x @ y, (a, b), "matmul", (
+        raise ConfigurationError(f"{op} shape mismatch: {x.shape} @ {y.shape}")
+    out = x @ y
+    inputs = [a, b]
+    grad_fns = [
         lambda g: _unbroadcast(g @ y.swapaxes(-1, -2), x.shape),
         lambda g: _unbroadcast(x.swapaxes(-1, -2) @ g, y.shape),
-    ))
+    ]
+    if bias is not None:
+        bias = as_tensor(bias)
+        bshape = bias.data.shape
+        try:
+            out += bias.data
+        except ValueError as exc:
+            raise ConfigurationError(f"{op} bias {bshape} does not fit {out.shape}") from exc
+        inputs.append(bias)
+        grad_fns.append(lambda g: _unbroadcast(g, bshape))
+    if not relu:
+        return _make_pruned(out, inputs, op, grad_fns)
+    if _graph.checking:  # before relu, which would zero a -inf
+        _check_finite(out, op)
+    np.maximum(out, 0.0, out=out)
+    return _make_pruned(out, inputs, op, grad_fns, pre=lambda g: g * (out > 0))
 
 
 def relu(a) -> Tensor:
@@ -266,7 +298,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def back(g):
         return (g * s * (1.0 - s),)
@@ -288,15 +321,17 @@ def log(a, lo=EPS_PROB, hi=None) -> Tensor:
 def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     in_shape = a.data.shape
+    out = a.data.sum(axis=axis, keepdims=keepdims)
+    if axis is None:
+        axes = range(a.ndim)
+    else:
+        axes = {ax % a.ndim for ax in (axis if isinstance(axis, tuple) else (axis,))}
+    kept = tuple(1 if i in axes else s for i, s in enumerate(in_shape))  # the keepdims shape
 
     def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, in_shape),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, in_shape),)
+        return (np.broadcast_to(g.reshape(kept), in_shape),)
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), "sum", back)
+    return _make(out, (a,), "sum", back)
 
 
 def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
@@ -362,12 +397,17 @@ def stack(tensors) -> Tensor:
 # neural-net forward ops
 # ---------------------------------------------------------------------------
 
-def dense(x, w, b=None) -> Tensor:
-    """Affine layer: x @ w (+ b)."""
-    out = matmul(x, w)
-    if b is not None:
-        out = add(out, b)
-    return out
+def dense(x, w, b=None, relu=False) -> Tensor:
+    """Affine layer x @ w (+ b), then relu if ``relu``, as one graph node.
+
+    Operands are those of ``matmul``; ``b`` broadcasts to the product. The
+    bias is added in place into the fresh product and relu is applied in
+    place, so values and gradients are bit-identical to ``matmul``, ``add``
+    and ``relu`` composed; the backward masks on ``out > 0``. With per-op
+    checks on, the pre-activation is checked before relu, so a -inf that
+    relu would zero still raises, naming ``dense``.
+    """
+    return _affine(x, w, b, relu, "dense")
 
 
 def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
@@ -514,7 +554,8 @@ def softmax(x, axis=-1) -> Tensor:
 def cross_entropy_onehot(p, target) -> Tensor:
     """-log p[t] for one-hot ``target``, with p clamped to [EPS_PROB, 1].
 
-    Works on [..., C] batches; the class axis is reduced away.
+    Works on [..., C] batches; the class axis is reduced away. One node whose
+    value and gradient are those of ``neg(sum(mul(log(p), target), -1))``.
     """
     p = as_tensor(p)
     t = np.asarray(target, dtype=np.float64)
@@ -522,18 +563,46 @@ def cross_entropy_onehot(p, target) -> Tensor:
         raise ConfigurationError(
             f"cross_entropy_onehot length mismatch: {p.data.shape[-1]} vs {t.shape[-1]}"
         )
-    lp = log(p, lo=EPS_PROB, hi=1.0)
-    return neg(tensor_sum(mul(lp, t), axis=-1))
+    clamped = np.clip(p.data, EPS_PROB, 1.0)
+    picked = np.log(clamped) * t
+
+    def grad(g):
+        return _unbroadcast((-g)[..., None] * t, clamped.shape) / clamped
+
+    return _make_pruned(-picked.sum(axis=-1), (p,), "cross_entropy_onehot", (grad,))
 
 
 def kl_uniform_to(p) -> Tensor:
-    """KL(uniform || p) over the last axis, with p clamped at EPS_PROB."""
+    """KL(uniform || p) over the last axis, with p clamped at EPS_PROB.
+
+    One node whose value and gradient are those of
+    ``add(neg(mean(log(p), -1)), -log C)``.
+    """
     p = as_tensor(p)
     c = p.data.shape[-1] if p.data.ndim else 0
     if c == 0:
         raise ConfigurationError("kl_uniform_to of an empty probability vector")
-    mean_neglog = neg(tensor_mean(log(p, lo=EPS_PROB, hi=1.0), axis=-1))
-    return add(mean_neglog, -math.log(c))
+    clamped = np.clip(p.data, EPS_PROB, 1.0)
+    scale = 1.0 / c
+
+    def grad(g):
+        return (-g * scale)[..., None] / clamped
+
+    out = -(np.log(clamped).sum(axis=-1) * scale) + -math.log(c)
+    return _make_pruned(out, (p,), "kl_uniform_to", (grad,))
+
+
+def masked_sum(a, mask) -> Tensor:
+    """Sums over the last axis of ``a`` times the constant ``mask``, as one
+    node whose value and gradient are those of ``sum(mul(a, mask), -1)``."""
+    a = as_tensor(a)
+    m = np.asarray(mask, dtype=np.float64)
+    masked = a.data * m
+
+    def grad(g):
+        return _unbroadcast(g[..., None] * m, a.data.shape)
+
+    return _make_pruned(masked.sum(axis=-1), (a,), "masked_sum", (grad,))
 
 
 def softmax_cross_entropy(logits, target) -> Tensor:

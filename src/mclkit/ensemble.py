@@ -99,7 +99,7 @@ def build_ensemble(
 def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rng=None) -> ad.Tensor:
     """Forward every member; returns member-major logits [M, B, C].
 
-    MLP members run together, one member-axis matmul per dense layer. CNN
+    MLP members run together, one member-axis ``dense`` node per layer. CNN
     conv trunks run per member on its slots of the layers, and their logits
     are stacked. Fusion needs all member taps before any member continues,
     so with a fusion stage the taps are taken per member and routed through it. Feature sharing only

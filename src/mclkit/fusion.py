@@ -79,7 +79,7 @@ class FusionModule:
         squeeze = z.mean(axis=(2, 3)) if self.spatial else z
         gate = ad.sigmoid(
             ad.dense(
-                ad.relu(ad.dense(squeeze, self.params["gate1.w"], self.params["gate1.b"])),
+                ad.dense(squeeze, self.params["gate1.w"], self.params["gate1.b"], relu=True),
                 self.params["gate2.w"],
                 self.params["gate2.b"],
             )

@@ -69,7 +69,7 @@ def _aux_ce(p: ad.Tensor) -> ad.Tensor:
 
 def _masked_sums(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     """Per-member sums [M] of [M, B] ``values`` over the examples a [B, M] mask selects."""
-    return ad.mul(values, np.ascontiguousarray(mask.T, dtype=np.float64)).sum(axis=1)
+    return ad.masked_sum(values, np.ascontiguousarray(mask.T, dtype=np.float64))
 
 
 def _penalized(p: ad.Tensor, ces: ad.Tensor, on: np.ndarray, penalty, weight: float) -> ad.Tensor:

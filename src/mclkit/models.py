@@ -7,11 +7,13 @@ combine them across members.
 
 The ensemble owns each layer's weight and bias as one ``param`` tensor with
 a leading member axis [M, …] (the BatchEnsemble layout, Wen et al. 2020).
-MLP layers run every member in one member-axis matmul; a ``MemberModel`` is
-a view of one member, whose CNN trunk reads its slots through ``take``.
+MLP layers run every member in one member-axis ``dense`` node; a
+``MemberModel`` is a view of one member, whose CNN trunk reads its slots
+through ``take``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +66,7 @@ class ArchitectureSpec:
 
     @property
     def flat_input_dim(self) -> int:
-        return int(np.prod(self.input_shape))
+        return math.prod(self.input_shape)
 
     @property
     def tap_shape(self) -> tuple:
@@ -148,7 +150,7 @@ class MemberModel:
                     f"batch shape {tuple(x.shape)} does not match input {self.spec.input_shape}"
                 )
         else:
-            flat = int(np.prod(x.shape[1:]))
+            flat = math.prod(x.shape[1:])
             if flat != self.spec.flat_input_dim:
                 raise ConfigurationError(
                     f"batch of {flat} features does not match input {self.spec.input_shape}"
@@ -184,7 +186,7 @@ class MemberModel:
 
 
 def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor:
-    """Dense layers ``first``..``last`` of an MLP, one matmul each.
+    """Dense layers ``first``..``last`` of an MLP, one ``dense`` node each.
 
     Layer i is ``dense{i}`` with a relu; the layer after the last hidden one
     (the default ``last``) is the head, without. ``param(name)`` gives each
@@ -199,9 +201,7 @@ def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor
     last = hidden + 1 if last is None else last
     for i in range(first, last + 1):
         name = f"dense{i}" if i <= hidden else "head"
-        h = ad.add(ad.matmul(h, param(f"{name}.w")), param(f"{name}.b"))
-        if i <= hidden:
-            h = ad.relu(h)
+        h = ad.dense(h, param(f"{name}.w"), param(f"{name}.b"), relu=i <= hidden)
     return h
 
 

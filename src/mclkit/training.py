@@ -248,17 +248,20 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     n = len(dataset)
     train_log = TrainLog()
     held = []
+    # The epoch's probabilities [N, M, width] and assignments [N, M] in step
+    # order, counted once per epoch. Allocated once, ahead of the step graphs'
+    # heap churn, and overwritten every epoch.
+    seen_probs = np.empty((n, cfg.members, arch.output_dim))
+    seen_v = np.empty((n, cfg.members), dtype=np.int64)
 
     try:
         for epoch in range(1, cfg.epochs + 1):
             order = shuffle_rng.permutation(n)
-            epoch_counts = np.zeros((dataset.n_classes, cfg.members), dtype=np.int64)
             loss_sum = 0.0
-            all_wrong = 0
-            top1_wrong = 0
             phase = "-"
             for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
+                rows = slice(start, start + cfg.batch_size)
+                idx = order[rows]
                 x, y = features[idx], labels[idx]
                 step = (state, cfg, epoch, x, y, share_rng, pool, held)
                 rng_state = share_rng.bit_generator.state
@@ -276,22 +279,21 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
                     raise NumericError(
                         f"epoch {epoch}, batch at example {start}: {exc}"
                     ) from exc
-
                 loss_sum += sum(terms.tolist())
-                np.add.at(epoch_counts, y, v)
-                if state.method == "amcl" and epoch <= cfg.t_tau:
-                    losses.accumulate_counts(state.counter, v, y)
+                seen_probs[rows] = probs.transpose(1, 0, 2)
+                seen_v[rows] = v
 
-                stacked = np.ascontiguousarray(probs.transpose(1, 0, 2))
-                stripped = strip_auxiliary(stacked) if state.has_aux else stacked
-                per_model_pred = stripped.argmax(axis=2)
-                all_wrong += int((per_model_pred != y[:, None]).all(axis=1).sum())
-                top1_wrong += int((stripped.mean(axis=1).argmax(axis=1) != y).sum())
-
+            y = labels[order]
+            epoch_counts = np.zeros((dataset.n_classes, cfg.members), dtype=np.int64)
+            np.add.at(epoch_counts, y, seen_v)
             if state.method == "amcl" and epoch <= cfg.t_tau:
+                losses.accumulate_counts(state.counter, seen_v, y)
                 state.counter.complete_epoch()
                 if epoch == cfg.t_tau:
                     freeze_specialization(state)
+            stripped = strip_auxiliary(seen_probs) if state.has_aux else seen_probs
+            all_wrong = int((stripped.argmax(axis=2) != y[:, None]).all(axis=1).sum())
+            top1_wrong = int((stripped.mean(axis=1).argmax(axis=1) != y).sum())
 
             record = EpochRecord(
                 epoch=epoch,

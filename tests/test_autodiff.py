@@ -415,6 +415,116 @@ def test_member_axis_matmul_slices_equal_2d_matmul_bitwise(shared):
         np.testing.assert_allclose(w.grad, w_grad, rtol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# fused ops: bit-identical to the chains of ops they replace
+# ---------------------------------------------------------------------------
+
+def _fused_and_composed(fused, composed, leaves, probe):
+    """Run ``fused`` and ``composed`` over fresh copies of ``leaves`` (param
+    arrays), back-propagate ``probe`` through each, and return both outputs
+    with both sets of leaf gradients."""
+    runs = []
+    for build in (fused, composed):
+        params = [ad.Tensor(leaf.copy(), op="param") for leaf in leaves]
+        out = build(*params)
+        ad.mul(out, probe).sum().backward()
+        runs.append((out.data, [t.grad for t in params]))
+    return runs
+
+
+def _assert_bit_identical(runs):
+    (out_f, grads_f), (out_c, grads_c) = runs
+    assert np.array_equal(out_f, out_c)
+    for gf, gc in zip(grads_f, grads_c):
+        assert gf.shape == gc.shape and np.array_equal(gf, gc)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("layout", ["member_axis", "shared_input", "two_d"])
+def test_dense_is_bit_identical_to_matmul_add_relu(layout, bias, relu):
+    rng = np.random.default_rng(list(f"{layout}{bias}{relu}".encode()))
+    m, b, k, n = 3, 32, 16, 8
+    x = rng.normal(size=(m, b, k) if layout == "member_axis" else (b, k))
+    w = rng.normal(size=(k, n) if layout == "two_d" else (m, k, n))
+    leaves = [x, w] + ([rng.normal(size=(n,) if layout == "two_d" else (m, 1, n))] if bias else [])
+    probe = rng.normal(size=(b, n) if layout == "two_d" else (m, b, n))
+
+    def composed(x, w, b=None):
+        out = ad.matmul(x, w)
+        if b is not None:
+            out = ad.add(out, b)
+        return ad.relu(out) if relu else out
+
+    runs = _fused_and_composed(
+        lambda x, w, b=None: ad.dense(x, w, b, relu=relu), composed, leaves, probe
+    )
+    assert relu is False or 0 < np.count_nonzero(runs[0][0]) < runs[0][0].size
+    _assert_bit_identical(runs)
+
+
+@pytest.mark.parametrize("target", ["labels", "aux_slot"])
+def test_cross_entropy_onehot_is_bit_identical_to_log_mul_sum_neg(target):
+    rng = np.random.default_rng(list(target.encode()))
+    p = rng.dirichlet(np.ones(5), size=(3, 16))
+    p[0, :4] = np.eye(5)[1]  # saturated rows exercise both ends of the clamp
+    t = np.eye(5)[rng.integers(0, 5, 16)] if target == "labels" else np.eye(5)[[4]]
+
+    def composed(p):
+        return ad.neg(ad.tensor_sum(ad.mul(ad.log(p, lo=ad.EPS_PROB, hi=1.0), t), axis=-1))
+
+    runs = _fused_and_composed(
+        lambda p: ad.cross_entropy_onehot(p, t), composed, [p], rng.normal(size=(3, 16))
+    )
+    _assert_bit_identical(runs)
+
+
+def test_kl_uniform_to_is_bit_identical_to_log_mean_neg_add():
+    rng = np.random.default_rng(7)
+    p = rng.dirichlet(np.ones(5), size=(3, 16))  # 1/5 is inexact, so the order shows
+    p[1, :2] = np.eye(5)[3]
+
+    def composed(p):
+        mean_neglog = ad.neg(ad.tensor_mean(ad.log(p, lo=ad.EPS_PROB, hi=1.0), axis=-1))
+        return ad.add(mean_neglog, -math.log(5))
+
+    runs = _fused_and_composed(ad.kl_uniform_to, composed, [p], rng.normal(size=(3, 16)))
+    _assert_bit_identical(runs)
+
+
+def test_masked_sum_is_bit_identical_to_mul_sum():
+    rng = np.random.default_rng(8)
+    values = rng.exponential(size=(3, 32))
+    mask = (rng.random((3, 32)) < 0.4).astype(np.float64)
+    runs = _fused_and_composed(
+        lambda v: ad.masked_sum(v, mask),
+        lambda v: ad.mul(v, mask).sum(axis=1),
+        [values],
+        rng.normal(size=3),
+    )
+    _assert_bit_identical(runs)
+
+
+def test_dense_checks_its_pre_activation_before_relu():
+    # As matmul followed by relu does: an overflow to -inf that relu would
+    # zero still raises under per-op checks, and names the fused op.
+    x = ad.Tensor([[1e200, 1.0]], op="param")
+    w = ad.Tensor([[-1e200], [0.0]], op="param")
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="op 'matmul'"):
+            ad.relu(ad.matmul(x, w))
+        with pytest.raises(NumericError, match="op 'dense'"):
+            ad.dense(x, w, relu=True)
+        with ad.deferred_checks():
+            out = ad.dense(x, w, relu=True)
+    assert np.array_equal(out.data, [[0.0]])
+
+
+def test_dense_rejects_a_bias_that_widens_the_product():
+    with pytest.raises(ConfigurationError, match="bias"):
+        ad.dense(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 4))), np.ones((2, 2, 4)))
+
+
 def test_matmul_rejects_bad_member_axes():
     with pytest.raises(ConfigurationError):
         ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 4, 5))))
@@ -637,6 +747,25 @@ def _fd_case(name):
         w = ad.Tensor(rng.normal(size=(2, 4, 2)), op="param")
         probe = rng.normal(size=(2, 3, 2))
         return lambda: ad.mul(ad.matmul(x, w), probe).sum(), [x, w]
+    if name in ("dense_member_axis", "dense_shared_operand"):
+        x = ad.Tensor(rng.normal(size=(2, 3, 4) if name == "dense_member_axis" else (3, 4)), op="param")
+        w = ad.Tensor(rng.normal(size=(2, 4, 2)), op="param")
+        b = ad.Tensor(rng.normal(size=(2, 1, 2)), op="param")
+        probe = rng.normal(size=(2, 3, 2))
+        return lambda: ad.mul(ad.dense(x, w, b, relu=True), probe).sum(), [x, w, b]
+    if name == "cross_entropy_onehot":
+        p = ad.Tensor(rng.uniform(0.1, 0.9, size=(2, 3, 4)), op="param")
+        hot = np.eye(4)[[0, 2, 3]]
+        probe = rng.normal(size=(2, 3))
+        return lambda: ad.mul(ad.cross_entropy_onehot(p, hot), probe).sum(), [p]
+    if name == "kl_uniform_to":
+        p = ad.Tensor(rng.uniform(0.1, 0.9, size=(3, 4)), op="param")
+        probe = rng.normal(size=3)
+        return lambda: ad.mul(ad.kl_uniform_to(p), probe).sum(), [p]
+    if name == "masked_sum":
+        v = ad.Tensor(rng.normal(size=(2, 5)), op="param")
+        mask = np.array([[1.0, 0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0]])
+        return lambda: ad.mul(ad.masked_sum(v, mask), np.array([1.5, -0.5])).sum(), [v]
     if name == "stack":
         a = ad.Tensor(rng.normal(size=(2, 3)), op="param")
         b = ad.Tensor(rng.normal(size=(2, 3)), op="param")
@@ -681,6 +810,11 @@ def rng2_const(x):
         "concat",
         "matmul_member_axis",
         "matmul_shared_operand",
+        "dense_member_axis",
+        "dense_shared_operand",
+        "cross_entropy_onehot",
+        "kl_uniform_to",
+        "masked_sum",
         "stack",
         "take",
         "mean",

@@ -238,7 +238,7 @@ def test_eval_checkpoint_with_trailing_bytes_exits_2(trained_run, tmp_path):
 
 
 def test_train_nonfinite_run_exits_3_naming_the_op(tmp_path):
-    # A learning rate of 1e300 overflows the first layer's matmul on the
+    # A learning rate of 1e300 overflows the first layer's product on the
     # second batch; the deferred step check sees the non-finite terms and
     # the replay names the op.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,7 +249,7 @@ def test_train_nonfinite_run_exits_3_naming_the_op(tmp_path):
              "--arch", "mlp", "--out", str(tmp_path / "run")],
         )
     assert result.exit_code == 3
-    assert "epoch 1, batch at example 64: non-finite values produced by op 'matmul'" in result.output
+    assert "epoch 1, batch at example 64: non-finite values produced by op 'dense'" in result.output
 
 
 def test_eval_checkpoint_with_nonfinite_payload_exits_2(trained_run, tmp_path):
@@ -270,7 +270,7 @@ def test_eval_checkpoint_with_nonfinite_payload_exits_2(trained_run, tmp_path):
 @pytest.mark.parametrize(
     "dataset,threads,op",
     [
-        ("blobs:classes=4,per_class=32,dim=16", "1", "matmul"),
+        ("blobs:classes=4,per_class=32,dim=16", "1", "dense"),
         # CNN member trunks on the thread pool: the workers are silenced too.
         ("bars:classes=2,per_class=8,size=16", "2", "conv2d"),
     ],

@@ -61,7 +61,7 @@ def test_member_probabilities_peak_memory_under_half_of_recorded_forward(fusion)
     assert free < 0.5 * recorded
 
 
-@pytest.mark.parametrize("arch,param,op", [(MLP, "dense2.w", "matmul"), (CNN, "conv2.w", "conv2d")])
+@pytest.mark.parametrize("arch,param,op", [(MLP, "dense2.w", "dense"), (CNN, "conv2.w", "conv2d")])
 def test_member_probabilities_names_the_op_of_a_nonfinite_chunk(arch, param, op):
     state = _ensemble(arch, "none")
     state.members[1].params[param].data[0, 0] = np.nan

@@ -31,6 +31,33 @@ def _mlp_cfg(method, **kw):
     return TrainConfig(**defaults)
 
 
+@pytest.mark.parametrize(
+    "method,epoch,nodes",
+    [
+        pytest.param("ie", 1, 13, id="ie"),
+        pytest.param("smcl", 1, 13, id="smcl"),
+        pytest.param("cmcl", 1, 17, id="cmcl"),
+        pytest.param("amcl", 1, 17, id="amcl-lba"),
+        pytest.param("amcl", 2, 17, id="amcl-mba"),
+    ],
+)
+def test_mlp_training_step_graph_size(method, epoch, nodes, monkeypatch):
+    # One 3-member step over two hidden layers: 6 parameter leaves, 3 dense
+    # nodes and the softmax, then one node per objective term and the sum.
+    sizes = []
+    walk = ad.topo_order
+
+    def counted(root):
+        order = walk(root)
+        sizes.append(len(order))
+        return order
+
+    monkeypatch.setattr(ad, "topo_order", counted)
+    train(BLOBS, _mlp_cfg(method, members=3, epochs=2, t_tau=1, batch_size=len(BLOBS)))
+    assert len(sizes) == 2
+    assert sizes[epoch - 1] == nodes
+
+
 def _one_batch_grads(method, k=1, fusion="none"):
     """Run one objective + backward by hand and return per-member grad norms."""
     arch = ArchitectureSpec(
@@ -325,9 +352,9 @@ def _failing_run(arch, param, value):
 @pytest.mark.parametrize(
     "arch,param,value,op",
     [
-        # MLP layers are stored with a member axis; the matmul reads them whole.
-        ("mlp", "dense1.w", np.nan, "matmul"),
-        ("mlp", "dense1.w", 1e308, "matmul"),
+        # MLP layers are stored with a member axis; the dense node reads them whole.
+        ("mlp", "dense1.w", np.nan, "dense"),
+        ("mlp", "dense1.w", 1e308, "dense"),
         ("cnn", "conv1.w", np.nan, "conv2d"),
     ],
 )

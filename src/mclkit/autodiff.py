@@ -13,11 +13,13 @@ finiteness. Ensemble members share one graph through a leading member axis:
 parameters are stored [M, …], ``matmul`` and ``dense`` take [M, n, k]
 operands, ``take`` reads one member's slot and ``stack`` joins per-member
 results. Each layer and each objective term is one node: ``dense`` (matmul,
-bias and relu), ``cross_entropy_onehot``, ``kl_uniform_to`` and
-``masked_sum`` run, forward and backward, the same numpy expressions in the
-same order as the chains of elementwise ops they stand for, so their values
-and gradients are bit-identical to those chains'; only the per-node graph
-overhead is saved. Desk-scale by design: no dtype zoo, no graph rewriting.
+bias and relu), ``conv2d`` (convolution, bias and relu),
+``cross_entropy_onehot``, ``kl_uniform_to`` and ``masked_sum`` run, forward
+and backward, the same numpy expressions in the same order as the chains of
+elementwise ops they stand for, so their values and gradients are
+bit-identical to those chains'; only the per-node graph overhead and the
+separate activation copies are saved. Desk-scale by design: no dtype zoo,
+no graph rewriting.
 """
 from __future__ import annotations
 
@@ -280,10 +282,15 @@ def _affine(a, b, bias, relu: bool, op: str) -> Tensor:
         grad_fns.append(lambda g: _unbroadcast(g, bshape))
     if not relu:
         return _make_pruned(out, inputs, op, grad_fns)
-    if _graph.checking:  # before relu, which would zero a -inf
+    _relu_in_place(out, op)
+    return _make_pruned(out, inputs, op, grad_fns, pre=lambda g: g * (out > 0))
+
+
+def _relu_in_place(out: np.ndarray, op: str) -> None:
+    """relu on a fused op's fresh output, checked first: relu would zero a -inf."""
+    if _graph.checking:
         _check_finite(out, op)
     np.maximum(out, 0.0, out=out)
-    return _make_pruned(out, inputs, op, grad_fns, pre=lambda g: g * (out > 0))
 
 
 def relu(a) -> Tensor:
@@ -410,8 +417,9 @@ def dense(x, w, b=None, relu=False) -> Tensor:
     return _affine(x, w, b, relu, "dense")
 
 
-def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
-    """2-D convolution, NCHW layout, stride 1 and zero 'same' padding only.
+def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
+    """2-D convolution, NCHW layout, stride 1 and zero 'same' padding only,
+    then relu if ``relu``, as one graph node.
 
     ``x`` is [B, C, H, W]; ``w`` is [F, C, kh, kw] with odd kernel extents.
     Computed as im2col + one GEMM (Chellapilla et al. 2006): the input is
@@ -420,7 +428,12 @@ def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
     patch matrix, and backward rebuilds the matrix from it (a 1x1 kernel pads
     nothing and keeps a view of the input). An input that
     needs no gradient (a constant or input batch) is not recorded as a
-    parent, and no input gradient is computed for it.
+    parent, and no input gradient is computed for it. The output is an NCHW
+    view of the NHWC GEMM output. As in ``dense``, the bias is added and
+    relu applied in place on that fresh output, so values and gradients are
+    bit-identical to ``relu(conv2d(...))``, and the backward masks on
+    ``out > 0``. With per-op checks on, the pre-activation is checked before
+    relu, so a -inf that relu would zero still raises, naming ``conv2d``.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride != 1:
@@ -448,10 +461,11 @@ def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
         xp = np.zeros((bsz, h + 2 * ph, wd + 2 * pw, cin))
         xp[:, ph : ph + h, pw : pw + wd] = x.data.transpose(0, 2, 3, 1)
     wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, f)
-    out = _im2col(xp, kh, kw) @ wmat
+    nhwc = (_im2col(xp, kh, kw) @ wmat).reshape(bsz, h, wd, f)
     if bt is not None:
-        out += bt.data
-    out = out.reshape(bsz, h, wd, f).transpose(0, 3, 1, 2)
+        nhwc += bt.data
+    if relu:
+        _relu_in_place(nhwc, "conv2d")
 
     need_gx = x.requires_grad
     parents = (w,) if bt is None else (w, bt)
@@ -459,7 +473,10 @@ def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
         parents = (x,) + parents
 
     def back(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(-1, f)
+        g2 = g.transpose(0, 2, 3, 1)
+        if relu:
+            g2 = g2 * (nhwc > 0)
+        g2 = g2.reshape(-1, f)
         gw = _im2col(xp, kh, kw).T @ g2
         grads = [gw.reshape(kh, kw, cin, f).transpose(3, 2, 0, 1)]
         if bt is not None:
@@ -473,7 +490,7 @@ def conv2d(x, w, b=None, stride=1, padding="same") -> Tensor:
             grads.insert(0, gxp[:, ph : ph + h, pw : pw + wd].transpose(0, 3, 1, 2))
         return tuple(grads)
 
-    return _make(out, parents, "conv2d", back)
+    return _make(nhwc.transpose(0, 3, 1, 2), parents, "conv2d", back)
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:

@@ -432,7 +432,10 @@ def save_checkpoint(state, path: str) -> None:
 
 def load_checkpoint(path: str):
     """Read a checkpoint back into an EnsembleState; bit-exact round trip.
-    Every tensor's shape and finiteness is checked before the members' are stacked."""
+    Every tensor's shape and finiteness is checked before the members' are
+    stacked; the specialization matrix and the assignment counter must be
+    [n_classes, members], the matrix binary with K ones per row and the
+    counts non-negative."""
     from . import autodiff as ad
     from .ensemble import EnsembleState
     from .fusion import FusionModule
@@ -500,6 +503,12 @@ def load_checkpoint(path: str):
         for name, t in fusion.params.items():
             fusion.params[name] = ad.Tensor(tensor(f"fusion/{name}", t.shape), op="param")
 
+    def class_table(what, arr):
+        expected = (header["n_classes"], header["members"])
+        if arr.shape != expected:
+            raise FormatError(f"{path}: {what} has shape {arr.shape}, expected {expected}")
+        return arr
+
     (has_spec,) = reader.unpack("<B")
     specialization = None
     if has_spec:
@@ -510,6 +519,13 @@ def load_checkpoint(path: str):
             .reshape(rows, cols)
             .astype(np.int64)
         )
+        class_table("specialization matrix", w)
+        if ((w != 0) & (w != 1)).any():
+            raise FormatError(f"{path}: specialization matrix holds entries other than 0 and 1")
+        if k != header["overlap_k"]:
+            raise FormatError(f"{path}: specialization K={k} differs from overlap_k={header['overlap_k']}")
+        if (w.sum(axis=1) != k).any():
+            raise FormatError(f"{path}: specialization rows do not all sum to K={k}")
         specialization = SpecializationMatrix(w=w, k=k, frozen=header["frozen"])
 
     (has_counter,) = reader.unpack("<B")
@@ -520,6 +536,8 @@ def load_checkpoint(path: str):
         counts = (
             np.frombuffer(reader.take(rows * cols * 8), dtype="<i8").reshape(rows, cols).copy()
         )
+        if (class_table("assignment counter", counts) < 0).any():
+            raise FormatError(f"{path}: assignment counter holds negative counts")
         counter = AssignmentCounter(
             counts=counts, epochs_accumulated=epochs, frozen=bool(frozen_flag)
         )

@@ -101,26 +101,29 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
 
     MLP members run together, one member-axis ``dense`` node per layer. CNN
     conv trunks run per member on its slots of the layers, and their logits
-    are stacked. Fusion needs all member taps before any member continues,
-    so with a fusion stage the taps are taken per member and routed through it. Feature sharing only
-    shuffles during training; at inference the members keep their own
-    features. Each tap and feature is dropped once it has been consumed.
+    are stacked. When nothing mixes features (no fusion stage, or feature
+    sharing at inference: it shuffles only during training), each CNN
+    member runs from input to logits before the next starts, so under
+    ``no_graph`` one member's trunk is in memory at a time. Fusion needs all
+    member taps before any member continues, so with a mixing stage the taps
+    are taken per member and routed through it. Each tap and feature is
+    dropped once it has been consumed.
     """
     x = ad.as_tensor(x)
     mlp = state.arch.kind == "mlp"
     mixes = state.fusion_mode == "module" or (state.fusion_mode == "share" and train_mode)
-    if mlp and not mixes:
-        state.members[0]._check_batch(x)
-        return mlp_layers(state.arch, state.layers.__getitem__, x, 1)
+    if not mixes:
+        if mlp:
+            state.members[0]._check_batch(x)
+            return mlp_layers(state.arch, state.layers.__getitem__, x, 1)
+        return ad.stack([m.forward_from_tap(m.forward_to_tap(x)) for m in state.members])
     taps = [member.forward_to_tap(x) for member in state.members]
     if state.fusion_mode == "module":
         feats = state.fusion.member_features(taps)
-    elif mixes:
+    else:
         if share_rng is None:
             raise ConfigurationError("feature sharing needs a seeded generator")
         feats = feature_share(taps, p_share=state.p_share, rng=share_rng)
-    else:
-        feats = taps
     del taps
     if mlp:
         return mlp_layers(state.arch, state.layers.__getitem__, ad.stack(feats), 2)
@@ -137,9 +140,10 @@ def member_probabilities(state: EnsembleState, features, batch_size: int = EVAL_
 
     Each chunk runs the ordinary forward under ``no_graph``: the arithmetic
     is that of a training forward, but no graph is recorded, so activations
-    are freed once the next layer has consumed them (per-member taps, where
-    the forward takes them, live until their member has continued). Only the
-    probabilities are checked; a failing chunk reruns with per-op checks.
+    are freed once the next layer has consumed them. Without a fusion stage
+    a CNN chunk holds one member's trunk at a time; with one, every member's
+    tap lives until its member has continued past it. Only the probabilities
+    are checked; a failing chunk reruns with per-op checks.
     """
     def chunk_probs(chunk, deferred):
         with ad.deferred_checks(deferred):

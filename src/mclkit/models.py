@@ -160,10 +160,13 @@ class MemberModel:
         x = ad.as_tensor(x)
         self._check_batch(x)
         if self.spec.kind == "simple_cnn":
-            return ad.relu(ad.conv2d(x, self._slot("conv1.w"), self._slot("conv1.b")))
+            return ad.conv2d(x, self._slot("conv1.w"), self._slot("conv1.b"), relu=True)
         return mlp_layers(self.spec, self._slot, x, 1, 1)
 
     def forward_from_tap(self, tap) -> ad.Tensor:
+        """Logits from the tap. A CNN drops its reference to the tap once it
+        is pooled, so under ``no_graph`` a tap that only the call held is
+        freed before the next layer runs."""
         tap = ad.as_tensor(tap)
         expected = self.spec.tap_shape
         if tuple(tap.shape[1:]) != tuple(expected):
@@ -173,8 +176,9 @@ class MemberModel:
         p = self._slot
         if self.spec.kind == "simple_cnn":
             h = ad.maxpool2x2(tap)
-            h = ad.maxpool2x2(ad.relu(ad.conv2d(h, p("conv2.w"), p("conv2.b"))))
-            h = ad.maxpool2x2(ad.relu(ad.conv2d(h, p("conv3.w"), p("conv3.b"))))
+            del tap
+            h = ad.maxpool2x2(ad.conv2d(h, p("conv2.w"), p("conv2.b"), relu=True))
+            h = ad.maxpool2x2(ad.conv2d(h, p("conv3.w"), p("conv3.b"), relu=True))
             h = ad.reshape(h, (h.shape[0], -1))
             return ad.dense(h, p("fc.w"), p("fc.b"))
         return mlp_layers(self.spec, p, tap, 2)

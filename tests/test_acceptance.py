@@ -163,7 +163,7 @@ def test_criterion_5_gradient_correctness():
     import test_losses as tl
 
     op_cases = [
-        "dense", "conv2d", "maxpool", "relu", "sigmoid", "softmax", "log",
+        "dense", "conv2d", "conv2d_relu", "maxpool", "relu", "sigmoid", "softmax", "log",
         "mul_broadcast", "concat", "mean", "softmax_cross_entropy",
         "cross_entropy_composed", "kl_uniform",
     ]

@@ -419,13 +419,14 @@ def test_member_axis_matmul_slices_equal_2d_matmul_bitwise(shared):
 # fused ops: bit-identical to the chains of ops they replace
 # ---------------------------------------------------------------------------
 
-def _fused_and_composed(fused, composed, leaves, probe):
+def _fused_and_composed(fused, composed, leaves, probe, ops=None):
     """Run ``fused`` and ``composed`` over fresh copies of ``leaves`` (param
-    arrays), back-propagate ``probe`` through each, and return both outputs
-    with both sets of leaf gradients."""
+    arrays, or leaves of the matching ``ops``), back-propagate ``probe``
+    through each, and return both outputs with both sets of leaf gradients."""
+    ops = ops or ["param"] * len(leaves)
     runs = []
     for build in (fused, composed):
-        params = [ad.Tensor(leaf.copy(), op="param") for leaf in leaves]
+        params = [ad.Tensor(leaf.copy(), op=op) for leaf, op in zip(leaves, ops)]
         out = build(*params)
         ad.mul(out, probe).sum().backward()
         runs.append((out.data, [t.grad for t in params]))
@@ -436,7 +437,10 @@ def _assert_bit_identical(runs):
     (out_f, grads_f), (out_c, grads_c) = runs
     assert np.array_equal(out_f, out_c)
     for gf, gc in zip(grads_f, grads_c):
-        assert gf.shape == gc.shape and np.array_equal(gf, gc)
+        if gf is None or gc is None:  # an input leaf gets no gradient either way
+            assert gf is gc
+        else:
+            assert gf.shape == gc.shape and np.array_equal(gf, gc)
 
 
 @pytest.mark.parametrize("relu", [False, True])
@@ -460,6 +464,27 @@ def test_dense_is_bit_identical_to_matmul_add_relu(layout, bias, relu):
         lambda x, w, b=None: ad.dense(x, w, b, relu=relu), composed, leaves, probe
     )
     assert relu is False or 0 < np.count_nonzero(runs[0][0]) < runs[0][0].size
+    _assert_bit_identical(runs)
+
+
+@pytest.mark.parametrize("x_op", ["param", "input"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("bias", [False, True])
+def test_conv2d_relu_is_bit_identical_to_relu_of_conv2d(bias, k, x_op):
+    rng = np.random.default_rng(list(f"{bias}{k}{x_op}".encode()))
+    leaves = [rng.normal(size=(4, 3, 6, 6)), rng.normal(size=(5, 3, k, k))]
+    leaves += [rng.normal(size=5)] if bias else []
+    ops = [x_op] + ["param"] * (len(leaves) - 1)
+    probe = rng.normal(size=(4, 5, 6, 6))
+
+    def composed(x, w, b=None):
+        return ad.relu(ad.conv2d(x, w, b))
+
+    runs = _fused_and_composed(
+        lambda x, w, b=None: ad.conv2d(x, w, b, relu=True), composed, leaves, probe, ops
+    )
+    assert 0 < np.count_nonzero(runs[0][0]) < runs[0][0].size
+    assert (runs[0][1][0] is None) == (x_op == "input")
     _assert_bit_identical(runs)
 
 
@@ -518,6 +543,19 @@ def test_dense_checks_its_pre_activation_before_relu():
         with ad.deferred_checks():
             out = ad.dense(x, w, relu=True)
     assert np.array_equal(out.data, [[0.0]])
+
+
+def test_conv2d_checks_its_pre_activation_before_relu():
+    # As for dense: the -inf that relu would zero raises under per-op
+    # checks, and names the convolution.
+    x = ad.Tensor(np.array([1e200, 1.0]).reshape(1, 2, 1, 1), op="param")
+    w = ad.Tensor(np.array([-1e200, 0.0]).reshape(1, 2, 1, 1), op="param")
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="op 'conv2d'"):
+            ad.conv2d(x, w, relu=True)
+        with ad.deferred_checks():
+            out = ad.conv2d(x, w, relu=True)
+    assert np.array_equal(out.data, np.zeros((1, 1, 1, 1)))
 
 
 def test_dense_rejects_a_bias_that_widens_the_product():
@@ -712,6 +750,12 @@ def _fd_case(name):
         w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), op="param")
         b = ad.Tensor(rng.normal(size=3), op="param")
         return lambda: ad.conv2d(x, w, b).sum(), [x, w, b]
+    if name == "conv2d_relu":
+        x = ad.Tensor(rng.normal(size=(2, 2, 4, 4)), op="param")
+        w = ad.Tensor(rng.normal(size=(3, 2, 3, 3)), op="param")
+        b = ad.Tensor(rng.normal(size=3), op="param")
+        probe = rng.normal(size=(2, 3, 4, 4))
+        return lambda: ad.mul(ad.conv2d(x, w, b, relu=True), probe).sum(), [x, w, b]
     if name == "maxpool":
         x = ad.Tensor(rng.normal(size=(2, 2, 4, 4)), op="param")
         return lambda: ad.mul(ad.maxpool2x2(x), rng2_const(x)).sum(), [x]
@@ -801,6 +845,7 @@ def rng2_const(x):
     [
         "dense",
         "conv2d",
+        "conv2d_relu",
         "maxpool",
         "relu",
         "sigmoid",

@@ -252,6 +252,22 @@ def test_train_nonfinite_run_exits_3_naming_the_op(tmp_path):
     assert "epoch 1, batch at example 64: non-finite values produced by op 'dense'" in result.output
 
 
+def test_eval_checkpoint_with_a_non_binary_specialization_exits_2(trained_run, tmp_path):
+    # 2 classes x 2 members: the int8 matrix ends 46 bytes before the file
+    # does (counter block: 6 bytes of flags, 8 of shape, 32 of counts).
+    raw = bytearray((trained_run / "checkpoint.amc1").read_bytes())
+    assert set(raw[-50:-46]) == {0, 1}
+    raw[-50] = 5
+    ckpt = tmp_path / "checkpoint.amc1"
+    ckpt.write_bytes(bytes(raw))
+    result = CliRunner().invoke(
+        main,
+        ["eval", "--checkpoint", str(ckpt), "--dataset", BLOB_SPEC, "--out", str(tmp_path / "e")],
+    )
+    assert result.exit_code == 2
+    assert "specialization matrix holds entries other than 0 and 1" in result.output
+
+
 def test_eval_checkpoint_with_nonfinite_payload_exits_2(trained_run, tmp_path):
     from mclkit.data import load_checkpoint, save_checkpoint
 

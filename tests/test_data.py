@@ -357,6 +357,39 @@ def test_checkpoint_tensor_of_the_wrong_shape_is_format_error(tmp_path):
         load_checkpoint(path)
 
 
+# The file ends with the specialization block (flag, K, shape, int8 rows) and
+# the counter block (flag, epochs, frozen, shape, int64 counts). With 3
+# classes and 2 members the counts are the last 48 bytes, the counter shape
+# the 8 before them, and the matrix lies at -68 after its shape at -76 and K
+# at -80.
+@pytest.mark.parametrize(
+    "offset,fmt,values,message",
+    [
+        (-68, "<b", (5,), r"specialization matrix holds entries other than 0 and 1"),
+        (-67, "<b", (1,), r"specialization rows do not all sum to K=1"),
+        (-80, "<I", (2,), r"specialization K=2 differs from overlap_k=1"),
+        (-76, "<II", (2, 3), r"specialization matrix has shape \(2, 3\), expected \(3, 2\)"),
+        (-48, "<q", (-4,), r"assignment counter holds negative counts"),
+        (-56, "<II", (6, 1), r"assignment counter has shape \(6, 1\), expected \(3, 2\)"),
+    ],
+    ids=["matrix_entry", "matrix_row_sum", "matrix_k", "matrix_shape", "negative_count", "counter_shape"],
+)
+def test_checkpoint_with_bad_specialization_state_is_format_error(tmp_path, offset, fmt, values, message):
+    from mclkit.losses import fix_specialization
+
+    state = _small_state()
+    state.counter.counts[:] = np.array([[4, 1], [0, 7], [3, 3]])
+    state.specialization = fix_specialization(state.counter, 1)
+    path = tmp_path / "ckpt.amc1"
+    save_checkpoint(state, path)
+    raw = bytearray(path.read_bytes())
+    assert raw[-68:-62] == bytes([1, 0, 0, 1, 1, 0]) and raw[-48] == 4
+    raw[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, *values)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=rf"ckpt\.amc1: {message}"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("fusion_mode", ["none", "module"])
 def test_checkpoint_save_of_a_loaded_checkpoint_reproduces_its_bytes(tmp_path, fusion_mode):
     from mclkit.losses import fix_specialization

@@ -1,4 +1,5 @@
 """Evaluation forward: the same probabilities as training's, without a graph."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,9 @@ CNN = ArchitectureSpec(kind="simple_cnn", input_shape=(1, 16, 16), n_classes=2)
 MLP = ArchitectureSpec(kind="mlp", input_shape=(8,), n_classes=3, hidden_sizes=(16, 16))
 
 
-def _ensemble(arch, fusion):
+def _ensemble(arch, fusion, members=2):
     return build_ensemble(
-        method="amcl", arch=arch, members=2, overlap_k=1, t_tau=2, beta=0.75,
+        method="amcl", arch=arch, members=members, overlap_k=1, t_tau=2, beta=0.75,
         gamma=0.75, p_share=0.5, fusion_mode=fusion, seed=9,
     )
 
@@ -59,6 +60,18 @@ def test_member_probabilities_peak_memory_under_half_of_recorded_forward(fusion)
     free = _peak_bytes(lambda: member_probabilities(state, x))
     recorded = _peak_bytes(lambda: _recorded_probabilities(state, x))
     assert free < 0.5 * recorded
+
+
+def test_member_probabilities_without_fusion_holds_one_member_trunk_at_a_time():
+    # Nothing mixes features, so each member runs to its logits before the
+    # next starts: two more members cost less than one tap (8 MiB here).
+    x = _batch(CNN, 128)
+    tap_bytes = 128 * math.prod(CNN.tap_shape) * 8
+    one, three = (_ensemble(CNN, "none", members) for members in (1, 3))
+    growth = _peak_bytes(lambda: member_probabilities(three, x)) - _peak_bytes(
+        lambda: member_probabilities(one, x)
+    )
+    assert growth < tap_bytes
 
 
 @pytest.mark.parametrize("arch,param,op", [(MLP, "dense2.w", "dense"), (CNN, "conv2.w", "conv2d")])

@@ -80,7 +80,7 @@ class _GraphSwitch(threading.local):
 
 
 _graph = _GraphSwitch()
-_grad_lock = threading.Lock()  # member threads' passes share the [M, …] parameter leaves
+_grad_lock = threading.Lock()  # backward passes on several threads may share leaves
 
 
 @contextmanager
@@ -670,23 +670,15 @@ def topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor, seed=1.0) -> None:
     """Accumulate d(root)/d(node), times ``seed``, into every node's grad slot.
 
-    ``seed`` is a scalar for a scalar root, or an array shaped like the root
-    (the gradient of some later loss with respect to it). The pass
-    propagates pass-local gradients, so calling backward twice without
-    zeroing doubles every grad exactly. Contributions to parents that need
-    no gradient (constants, input batches) are dropped unchecked. Passes on
-    several threads may share nodes: each grad slot is updated under a lock.
+    The root is a scalar node and ``seed`` a scalar. The pass propagates
+    pass-local gradients, so calling backward twice without zeroing doubles
+    every grad exactly. Contributions to parents that need no gradient
+    (constants, input batches) are dropped unchecked. Passes on several
+    threads may share nodes: each grad slot is updated under a lock.
     """
-    if np.ndim(seed) == 0:
-        if loss.data.size != 1:
-            raise StateError("backward requires a scalar loss node or a seed of its shape")
-        start = np.full_like(loss.data, float(seed))
-    else:
-        start = np.asarray(seed, dtype=np.float64)
-        if start.shape != loss.data.shape:
-            raise StateError(
-                f"backward seed shape {start.shape} does not match the root's {loss.data.shape}"
-            )
+    if loss.data.size != 1:
+        raise StateError("backward requires a scalar loss node")
+    start = np.full_like(loss.data, float(seed))
     order = topo_order(loss)
     local: dict[int, np.ndarray] = {id(loss): start}
     owned: set[int] = set()  # parents whose local sum this pass allocated

@@ -3,9 +3,7 @@
 All reports are plain CSV so runs can be diffed byte-for-byte; nothing in
 the output depends on wall-clock time. Exit codes: 0 success, 1 partial
 failure (compare sub-run failed), 2 usage or configuration error, 3 numeric
-failure. The AMCL_THREADS environment variable sets how many threads run
-the CNN members' conv trunks (default 1: all members in one graph; MLP
-members always share one member-axis graph).
+failure.
 """
 from __future__ import annotations
 

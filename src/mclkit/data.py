@@ -131,29 +131,6 @@ def parse_dataset_spec(text: str) -> DatasetSpec:
         raise ConfigurationError(f"bad dataset spec {text!r}: {exc}") from exc
 
 
-def format_dataset_spec(spec: DatasetSpec) -> str:
-    """Inverse of parse_dataset_spec for config round-trips."""
-    parts = []
-    if spec.kind in ("blobs", "bars"):
-        parts.append(f"classes={spec.n_classes}")
-        parts.append(f"per_class={spec.per_class}")
-        if spec.kind == "blobs":
-            parts.append(f"dim={spec.dim}")
-            parts.append(f"separation={spec.separation}")
-        else:
-            parts.append(f"size={spec.size}")
-        parts.append(f"noise={spec.noise}")
-        parts.append(f"seed={spec.seed}")
-    elif spec.kind == "idx":
-        parts.append(f"images={spec.images_path}")
-        parts.append(f"labels={spec.labels_path}")
-    else:
-        parts.append("files=" + "+".join(spec.files))
-    if spec.classes:
-        parts.append("subset=" + "+".join(str(c) for c in spec.classes))
-    return spec.kind + ":" + ",".join(parts)
-
-
 def build_dataset(spec: DatasetSpec) -> LabeledDataset:
     if spec.kind == "blobs":
         ds = generate_blobs(spec)
@@ -251,7 +228,7 @@ def _read_idx_array(path: str, expected_magic: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8, count=expected, offset=header).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str, classes=None) -> LabeledDataset:
+def load_idx(images_path: str, labels_path: str) -> LabeledDataset:
     """Load big-endian IDX image/label files; pixels scaled to [0, 1]."""
     images = _read_idx_array(images_path, IDX_IMAGE_MAGIC)
     labels = _read_idx_array(labels_path, IDX_LABEL_MAGIC)
@@ -261,13 +238,10 @@ def load_idx(images_path: str, labels_path: str, classes=None) -> LabeledDataset
         )
     feats = images.astype(np.float64)[:, None, :, :] / 255.0
     n_classes = int(labels.max()) + 1 if labels.size else 0
-    ds = LabeledDataset(features=feats, labels=labels.astype(np.int64), n_classes=n_classes)
-    if classes:
-        ds = ds.filter_classes(classes)
-    return ds
+    return LabeledDataset(features=feats, labels=labels.astype(np.int64), n_classes=n_classes)
 
 
-def load_cifar_binary(paths, classes=None) -> LabeledDataset:
+def load_cifar_binary(paths) -> LabeledDataset:
     """Load CIFAR-10 style binary batches: 3073-byte records, label byte first."""
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
@@ -290,14 +264,11 @@ def load_cifar_binary(paths, classes=None) -> LabeledDataset:
             raise FormatError(f"{path}: label out of range at record {bad}")
         labels.append(batch_labels.astype(np.int64))
         feats.append(records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0)
-    ds = LabeledDataset(
+    return LabeledDataset(
         features=np.concatenate(feats, axis=0),
         labels=np.concatenate(labels),
         n_classes=10,
     )
-    if classes:
-        ds = ds.filter_classes(classes)
-    return ds
 
 
 # ---------------------------------------------------------------------------

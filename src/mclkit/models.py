@@ -183,11 +183,6 @@ class MemberModel:
             return ad.dense(h, p("fc.w"), p("fc.b"))
         return mlp_layers(self.spec, p, tap, 2)
 
-    def forward(self, x):
-        """Run the member; returns (logits, own tap features)."""
-        tap = self.forward_to_tap(x)
-        return self.forward_from_tap(tap), tap
-
 
 def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor:
     """Dense layers ``first``..``last`` of an MLP, one ``dense`` node each.
@@ -207,10 +202,3 @@ def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor
         name = f"dense{i}" if i <= hidden else "head"
         h = ad.dense(h, param(f"{name}.w"), param(f"{name}.b"), relu=i <= hidden)
     return h
-
-
-def build_member(spec: ArchitectureSpec, member_index: int, seed: int) -> MemberModel:
-    """A standalone member seeded as ``member_index`` of an ensemble, in slot 0
-    of its own one-member layers."""
-    return MemberModel(spec, stack_layers(spec, [init_member(spec, member_index, seed)]), 0)
-

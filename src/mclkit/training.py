@@ -4,14 +4,8 @@ One coordinator owns the loop. Each step builds one graph for all members:
 the member-major [M, B, C] forward, the objective's [M] per-member terms
 (``losses.*_loss_terms`` against ``losses.one_hot`` labels), one backward
 from their sum into the ensemble's [M, …] layers, and one in-place SGD update
-per layer. For CNN members with no fusion stage and AMCL_THREADS above 1
-(the default is 1), the members' conv trunks instead run on a thread pool:
-their logits meet in one detached [M, B, C] leaf, the objective
-back-propagates into it, and each member back-propagates its own slice into
-its slots of the shared layers. MLP members always run the member-axis
-forward. Every member's arithmetic is the same either way, so the thread
-count never changes a result. Steps run under ``autodiff.deferred_checks`` and
-are checked once; a failing one is replayed with per-op checks to name the op.
+per layer. Steps run under ``autodiff.deferred_checks`` and are checked
+once; a failing one is replayed with per-op checks to name the op.
 
 ``TrainConfig`` is the one source of training defaults; the CLI reads its
 own from it.
@@ -19,8 +13,6 @@ own from it.
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +28,6 @@ from .losses import PenaltyConfig
 from .models import ArchitectureSpec
 
 log = logging.getLogger(__name__)
-
-THREADS_ENV = "AMCL_THREADS"
 
 
 @dataclass(frozen=True)
@@ -135,21 +125,6 @@ def freeze_specialization(state: EnsembleState) -> EnsembleState:
     return state
 
 
-def _thread_budget(members: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        budget = int(raw) if raw else 1
-    except ValueError:
-        raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return max(1, min(budget, members))
-
-
-def _member_logits(member, x_np) -> ad.Tensor:
-    """Forward one member on its own copy of the batch (graph confinement)."""
-    logits, _ = member.forward(ad.Tensor(x_np, op="input"))
-    return logits
-
-
 def _objective_terms(state, cfg, epoch, probs, y):
     """Per-member loss terms [M] plus the assignment actually used."""
     n = state.n_classes
@@ -169,30 +144,16 @@ def _objective_terms(state, cfg, epoch, probs, y):
     return terms, v, phase
 
 
-def _step(state, cfg, epoch, x, y, share_rng, pool, held, deferred):
+def _step(state, cfg, epoch, x, y, share_rng, held, deferred):
     """Forward, objective, backward and finite checks of one batch, as arrays.
     ``held`` keeps the last step's graph until this step's objective replaces
     it: a graph freed at its step's end is faulted back in by the next step."""
-    def on_pool(fn):
-        errors = np.geterr()  # numpy's error state is per thread; workers take the caller's
-
-        def run(m):
-            with ad.deferred_checks(deferred), np.errstate(**errors):
-                return fn(m)
-        return list(pool.map(run, range(cfg.members)))
-
     with ad.deferred_checks(deferred):
-        if pool is not None:
-            member_logits = on_pool(lambda m: _member_logits(state.members[m], x))
-            logits = ad.Tensor(np.stack([lg.data for lg in member_logits]))
-        else:
-            logits = ensemble_forward(state, x, train_mode=True, share_rng=share_rng)
+        logits = ensemble_forward(state, x, train_mode=True, share_rng=share_rng)
         probs = ad.softmax(logits, axis=-1)
         terms, v, phase = _objective_terms(state, cfg, epoch, probs, y)
         held[:] = [terms]
         ad.backward(terms.sum(), seed=1.0 / len(y))
-        if pool is not None:
-            on_pool(lambda m: ad.backward(member_logits[m], seed=logits.grad[m]))
     ad._check_finite(terms.data, "terms")
     ad._check_finite(logits.data, "logits")
     for p in state.parameters():
@@ -205,9 +166,9 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     """Train an ensemble; returns (EnsembleState, TrainLog).
 
     Deterministic for a fixed config and dataset: shuffling, sharing, and
-    parameter init all derive from cfg.seed, and the thread pool never
-    reorders any reduction. ``on_epoch(epoch, state, record)`` runs after
-    every completed epoch (checkpoint hooks, progress reporting).
+    parameter init all derive from cfg.seed. ``on_epoch(epoch, state,
+    record)`` runs after every completed epoch (checkpoint hooks, progress
+    reporting).
     """
     if dataset.n_classes < 2:
         raise ConfigurationError("dataset must carry at least two classes")
@@ -239,10 +200,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     shuffle_rng = np.random.default_rng([cfg.seed, 101])
     share_rng = np.random.default_rng([cfg.seed, 202])
 
-    threads = _thread_budget(cfg.members)
-    parallel = threads > 1 and cfg.fusion == "none" and arch.kind == "simple_cnn"
-    pool = ThreadPoolExecutor(max_workers=threads) if parallel else None
-
     features = np.ascontiguousarray(dataset.features, dtype=np.float64)
     labels = dataset.labels.astype(np.int64)
     n = len(dataset)
@@ -263,7 +220,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
                 rows = slice(start, start + cfg.batch_size)
                 idx = order[rows]
                 x, y = features[idx], labels[idx]
-                step = (state, cfg, epoch, x, y, share_rng, pool, held)
+                step = (state, cfg, epoch, x, y, share_rng, held)
                 rng_state = share_rng.bit_generator.state
                 try:
                     try:
@@ -307,8 +264,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
             if on_epoch is not None:
                 on_epoch(epoch, state, record)
     finally:
-        if pool is not None:
-            pool.shutdown()
         held.clear()
         ad.release_heap()
 

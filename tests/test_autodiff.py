@@ -579,28 +579,6 @@ def test_stack_rejects_empty_and_mismatched_inputs():
         ad.stack([ad.Tensor(np.ones(2)), ad.Tensor(np.ones(3))])
 
 
-def test_backward_with_array_seed_equals_weighted_scalar_loss():
-    rng = np.random.default_rng(5)
-    seed = rng.normal(size=(4, 2))
-    x = ad.Tensor(rng.normal(size=(4, 3)), op="param")
-    w = ad.Tensor(rng.normal(size=(3, 2)), op="param")
-    ad.backward(ad.relu(ad.matmul(x, w)), seed=seed)
-    seeded = x.grad.copy(), w.grad.copy()
-    x.grad = w.grad = None
-    ad.mul(ad.relu(ad.matmul(x, w)), seed).sum().backward()
-    assert np.array_equal(seeded[0], x.grad)
-    assert np.array_equal(seeded[1], w.grad)
-
-
-def test_backward_rejects_seed_of_another_shape():
-    x = ad.Tensor(np.ones((2, 3)), op="param")
-    root = ad.relu(x)
-    for seed in (np.ones((3, 2)), np.ones(6), np.ones((1, 2, 3))):
-        with pytest.raises(StateError, match="seed shape"):
-            ad.backward(root, seed=seed)
-    assert x.grad is None
-
-
 # ---------------------------------------------------------------------------
 # deferred finite checks
 # ---------------------------------------------------------------------------
@@ -947,7 +925,7 @@ def test_take_closure_gives_the_full_gradient_backward_writes():
     g = RNG.normal(size=2)
     t = ad.take(a, 1)
     assert np.shares_memory(t.data, a.data)
-    ad.backward(t, seed=g)
+    ad.backward(ad.mul(t, g).sum())
     (full,) = t._backward(g)
     assert np.array_equal(a.grad, full)
     assert np.array_equal(full[1], g) and not full[[0, 2]].any()

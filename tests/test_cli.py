@@ -284,14 +284,13 @@ def test_eval_checkpoint_with_nonfinite_payload_exits_2(trained_run, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "dataset,threads,op",
+    "dataset,op",
     [
-        ("blobs:classes=4,per_class=32,dim=16", "1", "dense"),
-        # CNN member trunks on the thread pool: the workers are silenced too.
-        ("bars:classes=2,per_class=8,size=16", "2", "conv2d"),
+        ("blobs:classes=4,per_class=32,dim=16", "dense"),
+        ("bars:classes=2,per_class=8,size=16", "conv2d"),
     ],
 )
-def test_diverging_train_prints_no_numpy_warnings(tmp_path, dataset, threads, op):
+def test_diverging_train_prints_no_numpy_warnings(tmp_path, dataset, op):
     import os
     import subprocess
     import sys
@@ -300,8 +299,7 @@ def test_diverging_train_prints_no_numpy_warnings(tmp_path, dataset, threads, op
     import mclkit
 
     src = str(Path(mclkit.__file__).parents[1])
-    env = dict(os.environ, AMCL_THREADS=threads)
-    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "mclkit.cli", "train", "--method", "amcl", "--dataset", dataset,
          "--members", "2", "--epochs", "2", "--t-tau", "1", "--batch-size", "8", "--lr", "1e300",

@@ -7,7 +7,6 @@ import pytest
 from mclkit.data import (
     DatasetSpec,
     build_dataset,
-    format_dataset_spec,
     generate_bar_images,
     generate_blobs,
     load_checkpoint,
@@ -128,7 +127,7 @@ def test_class_filter_remaps_preserving_order(tmp_path):
     images = rng.integers(0, 256, size=(30, 8, 8), dtype=np.uint8)
     labels = np.tile(np.array([0, 3, 5], dtype=np.uint8), 10)
     img_path, lab_path = _write_idx_pair(tmp_path, images, labels)
-    ds = load_idx(img_path, lab_path, classes=(0, 5))
+    ds = load_idx(img_path, lab_path).filter_classes((0, 5))
     assert ds.n_classes == 2
     assert set(ds.labels.tolist()) == {0, 1}
     # original class 0 -> 0, original class 5 -> 1
@@ -165,7 +164,7 @@ def test_cifar_truncated_record(tmp_path):
 
 def test_cifar_subset_filter(tmp_path):
     path, labels, _ = _write_cifar(tmp_path, n=200, seed=8)
-    ds = load_cifar_binary([path], classes=(0, 5))
+    ds = load_cifar_binary([path]).filter_classes((0, 5))
     assert ds.n_classes == 2
     assert len(ds) == int(np.isin(labels, [0, 5]).sum())
 
@@ -179,11 +178,9 @@ def test_parse_dataset_spec_blobs():
     assert spec.kind == "blobs" and spec.n_classes == 4 and spec.separation == 5.5
 
 
-def test_parse_dataset_spec_aliases_and_roundtrip():
+def test_parse_dataset_spec_aliases():
     spec = parse_dataset_spec("synthetic_images:classes=2,per_class=64,size=16,seed=3")
     assert spec.kind == "bars"
-    text = format_dataset_spec(spec)
-    assert parse_dataset_spec(text) == spec
 
 
 def test_parse_dataset_spec_rejects_junk():

@@ -3,15 +3,32 @@ import numpy as np
 import pytest
 
 import mclkit.autodiff as ad
+from mclkit.ensemble import build_ensemble
 from mclkit.errors import ConfigurationError
-from mclkit.models import ArchitectureSpec, build_member
+from mclkit.models import ArchitectureSpec
 
 RNG = np.random.default_rng(42)
+
+
+def member(spec, index, seed):
+    """Member ``index`` of a freshly built ensemble seeded with ``seed``."""
+    state = build_ensemble(
+        method="amcl", arch=spec, members=index + 1, overlap_k=1, t_tau=1, beta=0.75,
+        gamma=0.75, p_share=0.5, fusion_mode="none", seed=seed,
+    )
+    return state.members[index]
+
+
+def forward(model, x):
+    """One member's logits and its own tap features."""
+    tap = model.forward_to_tap(x)
+    return model.forward_from_tap(tap), tap
+
 
 def predict_proba(model, batch):
     """Softmax class probabilities of one member, forwarded under ``no_graph``."""
     with ad.no_graph():
-        logits, _ = model.forward(batch)
+        logits, _ = forward(model, batch)
         return ad.softmax(logits, axis=-1).data
 
 
@@ -20,31 +37,31 @@ MLP_SPEC = ArchitectureSpec(kind="mlp", input_shape=(8,), n_classes=3, hidden_si
 
 
 def test_cnn_emits_n_classes_plus_one_logits():
-    model = build_member(CNN_SPEC, 0, seed=1)
-    logits, tap = model.forward(RNG.uniform(size=(4, 1, 16, 16)))
+    model = member(CNN_SPEC, 0, seed=1)
+    logits, tap = forward(model, RNG.uniform(size=(4, 1, 16, 16)))
     assert logits.shape == (4, 3)
     assert tap.shape == (4, 32, 16, 16)
 
 
 def test_aux_flag_controls_head_width():
     spec = ArchitectureSpec(kind="mlp", input_shape=(8,), n_classes=3, aux_class=False)
-    model = build_member(spec, 0, seed=1)
-    logits, _ = model.forward(RNG.normal(size=(5, 8)))
+    model = member(spec, 0, seed=1)
+    logits, _ = forward(model, RNG.normal(size=(5, 8)))
     assert logits.shape == (5, 3)
     assert spec.output_dim == 3
     assert MLP_SPEC.output_dim == 4
 
 
 def test_same_seed_same_member_bit_identical():
-    a = build_member(CNN_SPEC, 1, seed=9)
-    b = build_member(CNN_SPEC, 1, seed=9)
+    a = member(CNN_SPEC, 1, seed=9)
+    b = member(CNN_SPEC, 1, seed=9)
     for name in a.params:
         assert np.array_equal(a.params[name].data, b.params[name].data)
 
 
 def test_same_seed_different_members_differ():
-    a = build_member(CNN_SPEC, 0, seed=9)
-    b = build_member(CNN_SPEC, 1, seed=9)
+    a = member(CNN_SPEC, 0, seed=9)
+    b = member(CNN_SPEC, 1, seed=9)
     checksums = [
         np.abs(model.params["conv1.w"].data).sum() for model in (a, b)
     ]
@@ -57,28 +74,28 @@ def test_unsupported_kind_rejected():
 
 
 def test_forward_member_shape_contract():
-    model = build_member(MLP_SPEC, 0, seed=2)
-    logits, tap = model.forward(RNG.normal(size=(6, 8)))
+    model = member(MLP_SPEC, 0, seed=2)
+    logits, tap = forward(model, RNG.normal(size=(6, 8)))
     assert logits.shape == (6, 4)
     assert tap.shape == (6, 16)
 
 
 def test_forward_member_batch_mismatch():
-    model = build_member(MLP_SPEC, 0, seed=2)
+    model = member(MLP_SPEC, 0, seed=2)
     with pytest.raises(ConfigurationError):
-        model.forward(RNG.normal(size=(6, 9)))
+        forward(model, RNG.normal(size=(6, 9)))
 
 
 def test_injecting_own_tap_is_identity():
-    model = build_member(CNN_SPEC, 0, seed=3)
+    model = member(CNN_SPEC, 0, seed=3)
     x = RNG.uniform(size=(2, 1, 16, 16))
-    logits_plain, tap = model.forward(x)
+    logits_plain, tap = forward(model, x)
     logits_inj = model.forward_from_tap(tap.data)
     assert np.array_equal(logits_plain.data, logits_inj.data)
 
 
 def test_injected_tap_shape_checked():
-    model = build_member(CNN_SPEC, 0, seed=3)
+    model = member(CNN_SPEC, 0, seed=3)
     with pytest.raises(ConfigurationError):
         model.forward_from_tap(RNG.normal(size=(2, 16, 16, 16)))
 
@@ -87,14 +104,14 @@ def test_two_members_same_input_different_logits():
     x = RNG.uniform(size=(3, 1, 16, 16))
     outs = []
     for m in range(2):
-        model = build_member(CNN_SPEC, m, seed=5)
-        logits, _ = model.forward(x)
+        model = member(CNN_SPEC, m, seed=5)
+        logits, _ = forward(model, x)
         outs.append(logits.data.sum())
     assert outs[0] != outs[1]
 
 
 def test_predict_proba_rows_are_distributions():
-    model = build_member(MLP_SPEC, 0, seed=4)
+    model = member(MLP_SPEC, 0, seed=4)
     probs = predict_proba(model, RNG.normal(size=(10, 8)))
     assert probs.shape == (10, 4)
     assert (probs >= 0).all()
@@ -103,15 +120,15 @@ def test_predict_proba_rows_are_distributions():
 
 def test_predict_proba_matches_recorded_forward():
     for spec, x in ((CNN_SPEC, RNG.uniform(size=(3, 1, 16, 16))), (MLP_SPEC, RNG.normal(size=(6, 8)))):
-        model = build_member(spec, 0, seed=5)
-        logits, _ = model.forward(x)
+        model = member(spec, 0, seed=5)
+        logits, _ = forward(model, x)
         assert np.array_equal(predict_proba(model, x), ad.softmax(logits, axis=-1).data)
 
 
 def test_fresh_model_predicts_near_uniform():
     # head init is scaled down, so logits start close to zero
     for spec, shape in ((CNN_SPEC, (32, 1, 16, 16)), (MLP_SPEC, (32, 8))):
-        model = build_member(spec, 0, seed=6)
+        model = member(spec, 0, seed=6)
         x = RNG.uniform(size=shape) if spec.kind == "simple_cnn" else RNG.normal(size=shape)
         probs = predict_proba(model, x)
         width = spec.output_dim
@@ -119,17 +136,17 @@ def test_fresh_model_predicts_near_uniform():
 
 
 def test_forward_is_pure():
-    model = build_member(CNN_SPEC, 0, seed=7)
+    model = member(CNN_SPEC, 0, seed=7)
     x = RNG.uniform(size=(2, 1, 16, 16))
-    a, _ = model.forward(x)
-    b, _ = model.forward(x)
+    a, _ = forward(model, x)
+    b, _ = forward(model, x)
     assert np.array_equal(a.data, b.data)
 
 
 def test_strip_and_renormalize_yields_distribution():
     from mclkit.evaluation import strip_auxiliary
 
-    model = build_member(CNN_SPEC, 0, seed=8)
+    model = member(CNN_SPEC, 0, seed=8)
     probs = predict_proba(model, RNG.uniform(size=(5, 1, 16, 16)))
     stripped = strip_auxiliary(probs)
     renorm = stripped / stripped.sum(axis=1, keepdims=True)

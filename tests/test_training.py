@@ -210,44 +210,19 @@ def test_reproducibility_bit_exact():
     assert runs[0] == runs[1]
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    logs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("AMCL_THREADS", threads)
-        state, log = train(BLOBS, _mlp_cfg("amcl"))
-        logs.append(
-            [(r.train_loss, r.oracle_error, r.top1_error) for r in log.records]
-        )
-    for (a, b) in zip(*logs):
-        assert a == pytest.approx(b, abs=1e-9)
-
-
 BARS = generate_bar_images(DatasetSpec(kind="bars", n_classes=2, per_class=12, size=16, seed=4))
 
 
 @pytest.mark.parametrize("method", ["amcl", "smcl"])
 @pytest.mark.parametrize("arch", ["mlp", "cnn"])
-def test_thread_count_gives_byte_identical_runs(arch, method, monkeypatch, tmp_path):
-    import mclkit.training as training
-
+def test_train_runs_are_byte_identical(arch, method, tmp_path):
     if arch == "mlp":
         data, cfg = BLOBS, _mlp_cfg(method, epochs=5, t_tau=3)
     else:
         data, cfg = BARS, _mlp_cfg(method, epochs=3, t_tau=2, batch_size=8, conv_filters=(4, 6, 8))
-    pooled = []
-    member_logits = training._member_logits
-
-    def spy(member, x_np):
-        pooled.append(member.member_index)
-        return member_logits(member, x_np)
-
-    monkeypatch.setattr(training, "_member_logits", spy)
     runs = []
-    for threads in ("2", "1"):
-        monkeypatch.setenv("AMCL_THREADS", threads)
-        pooled.clear()
+    for _ in range(2):
         state, log = train(data, cfg)
-        assert bool(pooled) == (threads == "2" and arch == "cnn")
         log.to_csv(tmp_path / "log.csv")
         log.purity_to_csv(tmp_path / "purity.csv")
         runs.append((
@@ -256,21 +231,6 @@ def test_thread_count_gives_byte_identical_runs(arch, method, monkeypatch, tmp_p
             [p.data.tobytes() for p in state.parameters()],
         ))
     assert runs[0] == runs[1]
-
-
-def test_threads_default_to_one(monkeypatch):
-    from mclkit.training import _thread_budget
-
-    monkeypatch.delenv("AMCL_THREADS", raising=False)
-    assert _thread_budget(3) == 1
-    monkeypatch.setenv("AMCL_THREADS", "8")
-    assert _thread_budget(3) == 3
-
-
-def test_invalid_thread_env_rejected(monkeypatch):
-    monkeypatch.setenv("AMCL_THREADS", "many")
-    with pytest.raises(ConfigurationError):
-        train(BLOBS, _mlp_cfg("ie", epochs=1))
 
 
 def test_k_range_validated():
@@ -348,7 +308,6 @@ def _failing_run(arch, param, value):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
     "arch,param,value,op",
     [
@@ -359,11 +318,10 @@ def _failing_run(arch, param, value):
     ],
 )
 def test_nonfinite_parameter_names_the_same_op_as_per_op_checks(
-    arch, param, value, op, threads, monkeypatch
+    arch, param, value, op, monkeypatch
 ):
     from contextlib import nullcontext
 
-    monkeypatch.setenv("AMCL_THREADS", threads)
     deferred = _failing_run(arch, param, value)
     # Per-op checks everywhere: the scope never defers anything.
     monkeypatch.setattr(ad, "deferred_checks", lambda active=True: nullcontext())
@@ -371,11 +329,9 @@ def test_nonfinite_parameter_names_the_same_op_as_per_op_checks(
     assert deferred == f"epoch 2, batch at example 0: non-finite values produced by op '{op}'"
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(threads, monkeypatch):
+def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(monkeypatch):
     import mclkit.training as training
 
-    monkeypatch.setenv("AMCL_THREADS", threads)
     labels = []
     check = ad._check_finite
 

@@ -5,9 +5,8 @@
 Each checkout's ``src/mclkit`` runs the same 14 configurations through
 ``mclkit train`` and ``mclkit eval``: MLP M=3 ie/smcl/cmcl/amcl, smcl and
 amcl with K=2, amcl with fusion module and share; CNN M=2 ie/smcl/cmcl/amcl,
-amcl with fusion module and share. Each runs with ``AMCL_THREADS`` 1 and 2
-and one BLAS thread. Every file the two
-checkouts write is compared byte for byte: ``train_log.csv``,
+amcl with fusion module and share. Each runs with one BLAS thread. Every
+file the two checkouts write is compared byte for byte: ``train_log.csv``,
 ``purity_flow.csv``, ``summary.csv``, ``config.txt``, every checkpoint (the
 fusion runs also save one per epoch) and every file of ``mclkit eval``
 (errors, confidence histograms, and for amcl the cross-entropy split,
@@ -38,7 +37,6 @@ MLP = ["--arch", "mlp", "--hidden", "32,16", "--members", "3", "--epochs", "6", 
 CNN = ["--arch", "simple_cnn", "--members", "2", "--epochs", "3", "--t-tau", "2",
        "--batch-size", "16", "--dataset", CNN_DATA]
 EVERY_EPOCH = ["--checkpoint-every", "1"]
-THREADS = (1, 2)
 
 # name -> (train arguments, test spec, OOD spec)
 CONFIGS = {
@@ -53,8 +51,8 @@ CONFIGS = {
 }
 
 
-def _mclkit(checkout: Path, cwd: Path, threads: int, args: list) -> None:
-    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "AMCL_THREADS": str(threads),
+def _mclkit(checkout: Path, cwd: Path, args: list) -> None:
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-m", "mclkit.cli", *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
@@ -62,17 +60,16 @@ def _mclkit(checkout: Path, cwd: Path, threads: int, args: list) -> None:
         raise RuntimeError(f"mclkit {' '.join(args)} failed in {checkout}:\n{proc.stderr[-2000:]}")
 
 
-def run_config(checkout: Path, side_dir: Path, name: str, threads: int) -> None:
+def run_config(checkout: Path, side_dir: Path, name: str) -> None:
     """Train and evaluate one configuration; relative output paths keep
     ``config.txt`` free of the side's directory."""
     train_args, test_spec, ood_spec = CONFIGS[name]
-    run = f"{name}-t{threads}"
-    _mclkit(checkout, side_dir, threads, ["train", *train_args, "--seed", "0", "--out", run])
+    _mclkit(checkout, side_dir, ["train", *train_args, "--seed", "0", "--out", name])
     amcl = "amcl" in train_args
     extra = ["--ce-split", "--purity", "--ood-dataset", ood_spec] if amcl else []
-    _mclkit(checkout, side_dir, threads, ["eval", "--checkpoint", f"{run}/checkpoint.amc1",
-                                          "--dataset", test_spec, "--histograms", *extra,
-                                          "--out", f"{run}/eval"])
+    _mclkit(checkout, side_dir, ["eval", "--checkpoint", f"{name}/checkpoint.amc1",
+                                 "--dataset", test_spec, "--histograms", *extra,
+                                 "--out", f"{name}/eval"])
 
 
 def compare_trees(a: Path, b: Path) -> list:
@@ -100,18 +97,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(args.work or tmp)
         for name in CONFIGS:
-            for threads in THREADS:
-                for side, checkout in checkouts.items():
-                    side_dir = work / side
-                    side_dir.mkdir(parents=True, exist_ok=True)
-                    run_config(checkout, side_dir, name, threads)
-                print(f"ran {name} with AMCL_THREADS={threads}", flush=True)
+            for side, checkout in checkouts.items():
+                side_dir = work / side
+                side_dir.mkdir(parents=True, exist_ok=True)
+                run_config(checkout, side_dir, name)
+            print(f"ran {name}", flush=True)
         problems = compare_trees(work / "A", work / "B")
         count = sum(1 for f in (work / "A").rglob("*") if f.is_file())
     for line in problems:
         print(line)
-    print(f"{len(CONFIGS)} configurations x {len(THREADS)} thread settings: "
-          f"{count} files in A, {len(problems)} problem(s)")
+    print(f"{len(CONFIGS)} configurations: {count} files in A, {len(problems)} problem(s)")
     return 1 if problems else 0
 
 

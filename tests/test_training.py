@@ -329,7 +329,8 @@ def test_nonfinite_parameter_names_the_same_op_as_per_op_checks(
     assert deferred == f"epoch 2, batch at example 0: non-finite values produced by op '{op}'"
 
 
-def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(monkeypatch):
+@pytest.mark.parametrize("overlap_k", [1, 2])
+def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(overlap_k, monkeypatch):
     import mclkit.training as training
 
     labels = []
@@ -348,7 +349,8 @@ def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(monkeypatch
 
     monkeypatch.setattr(ad, "_check_finite", counting)
     monkeypatch.setattr(training, "build_ensemble", build_then_count)
-    state, _ = train(BLOBS, _mlp_cfg("amcl", members=3, epochs=1, t_tau=1, batch_size=len(BLOBS)))
+    cfg = _mlp_cfg("amcl", members=3, overlap_k=overlap_k, epochs=1, t_tau=1, batch_size=len(BLOBS))
+    state, _ = train(BLOBS, cfg)
     assert len(state.parameters()) == 6
     assert sorted(labels) == sorted(["terms", "logits"] + ["gradient"] * 6)
 

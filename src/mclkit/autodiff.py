@@ -12,19 +12,18 @@ keeps no activations alive; inside ``deferred_checks()`` they check no
 finiteness. Ensemble members share one graph through a leading member axis:
 parameters are stored [M, …], ``matmul`` and ``dense`` take [M, n, k]
 operands, ``take`` reads one member's slot and ``stack`` joins per-member
-results. Each layer and each objective term is one node: ``dense`` (matmul,
-bias and relu), ``conv2d`` (convolution, bias and relu),
-``cross_entropy_onehot``, ``kl_uniform_to`` and ``masked_sum`` run, forward
-and backward, the same numpy expressions in the same order as the chains of
-elementwise ops they stand for, so their values and gradients are
-bit-identical to those chains'; only the per-node graph overhead and the
-separate activation copies are saved. Desk-scale by design: no dtype zoo,
-no graph rewriting.
+results. Each layer is one node: ``dense`` (matmul, bias and relu) and
+``conv2d`` (convolution, bias and relu) run, forward and backward, the same
+numpy expressions in the same order as the chains of ops they stand for, so
+their values and gradients are bit-identical to those chains'; only the
+per-node graph overhead and the separate activation copies are saved. The
+objectives work on log-probabilities: ``log_softmax``, the class gather
+``nll`` and ``masked_sum`` are one node each. Desk-scale by design: no dtype
+zoo, no graph rewriting.
 """
 from __future__ import annotations
 
 import ctypes
-import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,8 +32,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError, StateError
 
-# Probability clamp applied before any log; avoids -inf when a class
-# probability saturates at 0.
+# Probability clamp applied before a log of probabilities (``log`` and the
+# evaluation metrics); avoids -inf when a class probability rounds to 0.
 EPS_PROB = 1e-12
 
 # Outside ``deferred_checks()`` every op output, and every gradient backward
@@ -564,49 +563,57 @@ def softmax(x, axis=-1) -> Tensor:
     return _make(p, (x,), "softmax", back)
 
 
-# ---------------------------------------------------------------------------
-# losses on probability vectors
-# ---------------------------------------------------------------------------
+def log_softmax(x, axis=-1) -> Tensor:
+    """``shifted - log Σ exp(shifted)`` along ``axis``, ``shifted`` being the
+    max-subtracted input; the backward is ``g - p·Σg``.
 
-def cross_entropy_onehot(p, target) -> Tensor:
-    """-log p[t] for one-hot ``target``, with p clamped to [EPS_PROB, 1].
-
-    Works on [..., C] batches; the class axis is reduced away. One node whose
-    value and gradient are those of ``neg(sum(mul(log(p), target), -1))``.
+    Exact where a softmax saturates: a log-probability of -60 stays -60
+    instead of the log of a probability that rounded to 0.
     """
-    p = as_tensor(p)
-    t = np.asarray(target, dtype=np.float64)
-    if p.data.shape[-1] != t.shape[-1]:
-        raise ConfigurationError(
-            f"cross_entropy_onehot length mismatch: {p.data.shape[-1]} vs {t.shape[-1]}"
-        )
-    clamped = np.clip(p.data, EPS_PROB, 1.0)
-    picked = np.log(clamped) * t
+    x = as_tensor(x)
+    if x.data.shape[axis] == 0:
+        raise ConfigurationError("log_softmax of an empty axis")
+    shifted = x.data - _max_keepdims(x.data, axis)
+    p = np.exp(shifted)
+    z = p.sum(axis=axis, keepdims=True)
+    p /= z
+    shifted -= np.log(z)
 
     def grad(g):
-        return _unbroadcast((-g)[..., None] * t, clamped.shape) / clamped
+        return g - p * g.sum(axis=axis, keepdims=True)
 
-    return _make_pruned(-picked.sum(axis=-1), (p,), "cross_entropy_onehot", (grad,))
+    return _make_pruned(shifted, (x,), "log_softmax", (grad,))
 
 
-def kl_uniform_to(p) -> Tensor:
-    """KL(uniform || p) over the last axis, with p clamped at EPS_PROB.
+# ---------------------------------------------------------------------------
+# losses on log-probabilities
+# ---------------------------------------------------------------------------
 
-    One node whose value and gradient are those of
-    ``add(neg(mean(log(p), -1)), -log C)``.
+def nll(logp, index) -> Tensor:
+    """-logp[..., index]: each row's negative log-probability of one class.
+
+    ``index`` is an int, the same class for every row (the auxiliary slot),
+    or a [B] array of class indices, one per row of ``logp`` [..., B, C].
+    The class axis is reduced away; the backward scatters -g into the picked
+    entries and leaves every other entry's gradient 0.
     """
-    p = as_tensor(p)
-    c = p.data.shape[-1] if p.data.ndim else 0
-    if c == 0:
-        raise ConfigurationError("kl_uniform_to of an empty probability vector")
-    clamped = np.clip(p.data, EPS_PROB, 1.0)
-    scale = 1.0 / c
+    logp = as_tensor(logp)
+    if isinstance(index, (int, np.integer)):
+        sel = (..., index)
+    else:
+        index = np.asarray(index)
+        if logp.ndim < 2 or index.shape != logp.shape[-2:-1]:
+            raise ConfigurationError(f"nll index of shape {index.shape} does not fit {logp.shape}")
+        sel = (..., np.arange(index.shape[0]), index)
 
     def grad(g):
-        return (-g * scale)[..., None] / clamped
+        full = np.zeros_like(logp.data)
+        full[sel] = -g
+        return full
 
-    out = -(np.log(clamped).sum(axis=-1) * scale) + -math.log(c)
-    return _make_pruned(out, (p,), "kl_uniform_to", (grad,))
+    # C order: the gather lays its result out row-major over B, and the bits
+    # of a later sum over B depend on the layout.
+    return _make_pruned(np.negative(logp.data[sel], order="C"), (logp,), "nll", (grad,))
 
 
 def masked_sum(a, mask) -> Tensor:
@@ -620,28 +627,6 @@ def masked_sum(a, mask) -> Tensor:
         return _unbroadcast(g[..., None] * m, a.data.shape)
 
     return _make_pruned(masked.sum(axis=-1), (a,), "masked_sum", (grad,))
-
-
-def softmax_cross_entropy(logits, target) -> Tensor:
-    """Fused softmax + cross-entropy on logits via log-sum-exp.
-
-    Gradient w.r.t. the logits is softmax(logits) - target.
-    """
-    x = as_tensor(logits)
-    t = np.asarray(target, dtype=np.float64)
-    if x.data.shape[-1] != t.shape[-1]:
-        raise ConfigurationError("softmax_cross_entropy length mismatch")
-    m = _max_keepdims(x.data, -1)
-    e = np.exp(x.data - m)
-    z = e.sum(axis=-1, keepdims=True)
-    lse = (m + np.log(z))[..., 0]
-    ce = lse - (x.data * t).sum(axis=-1)
-    p = e / z
-
-    def back(g):
-        return ((p - t) * g[..., None],)
-
-    return _make(ce, (x,), "softmax_cross_entropy", back)
 
 
 # ---------------------------------------------------------------------------
@@ -741,10 +726,6 @@ def sgd_step(params, grads, cfg: SgdConfig, buffers=None):
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             raise StateError("sgd_step with a missing gradient; run backward first")
-        # A transposed parameter is made C-contiguous, as an out-of-place
-        # update left it: a matmul's bits depend on its operands' layout.
-        if not p.data.flags.c_contiguous:
-            p.data = np.ascontiguousarray(p.data)
         d = g + cfg.weight_decay * p.data if cfg.weight_decay else g
         if buffers[i] is None:
             buffers[i] = np.array(d)  # a copy: without weight decay d is the caller's grad

@@ -42,7 +42,7 @@ class FusionModule:
         if self.spatial:
             self.params["proj.w"] = ad.Tensor(proj[:, :, None, None], op="param")
         else:
-            self.params["proj.w"] = ad.Tensor(proj.T, op="param")
+            self.params["proj.w"] = ad.Tensor(np.ascontiguousarray(proj.T), op="param")
         self.params["proj.b"] = ad.Tensor(np.zeros(channels), op="param")
         self.params["gate1.w"] = ad.Tensor(he_uniform(rng, (channels, hidden), channels), op="param")
         self.params["gate1.b"] = ad.Tensor(np.zeros(hidden), op="param")

@@ -6,65 +6,44 @@ loss-based and memory-based assignment, plus the cumulative count matrix
 from which the fixed specialization is derived.
 
 Each objective has one form, ``*_loss_terms``: it takes the member-major
-probabilities [M, B, C] as one Tensor (ie takes the [M, B] cross-entropies
-of ``member_cross_entropies``) and one-hot labels from ``one_hot``, and
-returns one term per member [M], plus the [B, M] assignment it used. The
-batch loss is ``terms.sum()``.
+log-probabilities [M, B, C] as one Tensor (ie takes the [M, B]
+cross-entropies of ``member_cross_entropies``) and the [B] class indices,
+and returns one term per member [M], plus the [B, M] assignment it used. The
+batch loss is ``terms.sum()``. Every term is computed in log space: the
+cross-entropy and the auxiliary term gather one log-probability
+(``autodiff.nll``), and the confident variant's uniform term is
+-mean(log p) - log C, so no probability is clamped or logged.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, InputError, StateError
+from .errors import ConfigurationError, StateError
 
 log = logging.getLogger(__name__)
 
 
-# ---------------------------------------------------------------------------
-# labels
-# ---------------------------------------------------------------------------
-
-def one_hot(y, n_classes: int, aux: bool = False) -> np.ndarray:
-    """[B] class indices -> one-hot [B, n_classes]; with ``aux`` the rows gain
-    a trailing auxiliary slot (index n_classes) that is left unset."""
-    y = np.asarray(y, dtype=np.int64)
-    if y.size and (y.min() < 0 or y.max() >= n_classes):
-        raise InputError(f"labels out of range for {n_classes} classes")
-    out = np.zeros((y.shape[0], n_classes + aux))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
+def _as_member_logp(logp: ad.Tensor) -> ad.Tensor:
+    """The member-major log-probabilities [M, B, C] that ``train`` passes, checked."""
+    if not isinstance(logp, ad.Tensor) or logp.ndim != 3:
+        raise ConfigurationError("log-probabilities must be a member-major [M, B, C] Tensor")
+    return logp
 
 
-def _as_label_matrix(labels, width: int, aux: bool) -> np.ndarray:
-    """Normalize labels to a one-hot [B, width] matrix and validate it."""
-    arr = np.asarray(labels, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise InputError(f"labels must be one-hot of width {width}")
-    hot = arr.argmax(axis=1)
-    onehot = np.zeros_like(arr)
-    onehot[np.arange(arr.shape[0]), hot] = 1.0
-    if not np.array_equal(arr, onehot):
-        raise InputError("labels must be exactly one-hot")
-    if aux and np.any(hot == width - 1):
-        raise InputError("ground-truth labels may not use the auxiliary slot")
-    return arr
-
-
-def _as_member_probs(probs: ad.Tensor) -> ad.Tensor:
-    """The member-major probabilities [M, B, C] that ``train`` passes, checked."""
-    if not isinstance(probs, ad.Tensor) or probs.ndim != 3:
-        raise ConfigurationError("probabilities must be a member-major [M, B, C] Tensor")
-    return probs
-
-
-def _aux_ce(p: ad.Tensor) -> ad.Tensor:
+def _aux_ce(logp: ad.Tensor) -> ad.Tensor:
     """-log p_aux per member and example; the KL(aux one-hot || p) penalty term."""
-    width = p.shape[-1]
-    return ad.cross_entropy_onehot(p, one_hot([width - 1], width))
+    return ad.nll(logp, logp.shape[-1] - 1)
+
+
+def _kl_uniform(logp: ad.Tensor) -> ad.Tensor:
+    """KL(uniform || p) per member and example: -mean(log p) - log C."""
+    c = logp.shape[-1]
+    return ad.add(ad.mul(logp.sum(axis=-1), -1.0 / c), -math.log(c))
 
 
 def _masked_sums(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
@@ -72,21 +51,20 @@ def _masked_sums(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     return ad.masked_sum(values, np.ascontiguousarray(mask.T, dtype=np.float64))
 
 
-def _penalized(p: ad.Tensor, ces: ad.Tensor, on: np.ndarray, penalty, weight: float) -> ad.Tensor:
-    """Assigned cross-entropy plus ``weight`` times ``penalty(p)`` where unassigned.
+def _penalized(logp: ad.Tensor, ces: ad.Tensor, on: np.ndarray, penalty, weight: float) -> ad.Tensor:
+    """Assigned cross-entropy plus ``weight`` times ``penalty(logp)`` where unassigned.
 
     ``on`` is the [B, M] assignment; the result holds one term per member.
     """
     terms = _masked_sums(ces, on)
     if weight:
-        terms = ad.add(terms, ad.mul(_masked_sums(penalty(p), 1 - on), weight))
+        terms = ad.add(terms, ad.mul(_masked_sums(penalty(logp), 1 - on), weight))
     return terms
 
 
-def member_cross_entropies(probs, labels) -> ad.Tensor:
-    """Member-major cross-entropies [M, B] against one-hot ``labels``."""
-    p = _as_member_probs(probs)
-    return ad.cross_entropy_onehot(p, _as_label_matrix(labels, p.shape[-1], aux=False))
+def member_cross_entropies(logp, y) -> ad.Tensor:
+    """Member-major cross-entropies [M, B] against the [B] class indices ``y``."""
+    return ad.nll(_as_member_logp(logp), y)
 
 
 # ---------------------------------------------------------------------------
@@ -215,58 +193,57 @@ def ie_loss_terms(per_model_losses: ad.Tensor) -> ad.Tensor:
     return per_model_losses.sum(axis=1)
 
 
-def _top_k_ces(probs, labels, k: int, aux: bool):
-    """Member-major probabilities, their [M, B] cross-entropies, and the top-K
-    [B, M] assignment those detached values select."""
-    p = _as_member_probs(probs)
-    ces = ad.cross_entropy_onehot(p, _as_label_matrix(labels, p.shape[-1], aux=aux))
-    return p, ces, assign_top_k(ces.data.T, k)
+def _top_k_ces(logp, y, k: int):
+    """Member-major cross-entropies [M, B] and the top-K [B, M] assignment
+    their detached values select."""
+    ces = ad.nll(_as_member_logp(logp), y)
+    return ces, assign_top_k(ces.data.T, k)
 
 
-def smcl_loss_terms(probs, labels, k: int):
+def smcl_loss_terms(logp, y, k: int):
     """Top-K assigned cross-entropy terms [M] and the [B, M] assignment.
 
     At K=1 the terms sum to the oracle loss: each example's smallest
     cross-entropy across members.
     """
-    _, ces, v = _top_k_ces(probs, labels, k, aux=False)
+    ces, v = _top_k_ces(logp, y, k)
     return _masked_sums(ces, v), v
 
 
-def lba_loss_terms(probs, labels, cfg: PenaltyConfig):
+def lba_loss_terms(logp, y, cfg: PenaltyConfig):
     """Loss-based assignment: assigned CE plus the auxiliary-KL penalty.
 
     The assignment itself is derived from the detached cross-entropy values
     (hard top-K, no gradient through the selection).
     """
-    p, ces, v = _top_k_ces(probs, labels, cfg.k, aux=True)
-    return _penalized(p, ces, v, _aux_ce, cfg.beta), v
+    ces, v = _top_k_ces(logp, y, cfg.k)
+    return _penalized(logp, ces, v, _aux_ce, cfg.beta), v
 
 
-def mba_loss_terms(probs, labels, w: SpecializationMatrix, cfg: PenaltyConfig):
+def mba_loss_terms(logp, y, w: SpecializationMatrix, cfg: PenaltyConfig):
     """Memory-based assignment: flags come from the frozen matrix, not losses."""
     if not isinstance(w, SpecializationMatrix) or not w.frozen:
         raise StateError("memory-based assignment requires a frozen specialization matrix")
-    p = _as_member_probs(probs)
-    lab = _as_label_matrix(labels, p.shape[-1], aux=True)
-    flags = w.rows_for(lab.argmax(axis=1))
-    return _penalized(p, ad.cross_entropy_onehot(p, lab), flags, _aux_ce, cfg.gamma), flags
+    flags = w.rows_for(y)
+    ces = ad.nll(_as_member_logp(logp), y)
+    return _penalized(logp, ces, flags, _aux_ce, cfg.gamma), flags
 
 
-def cmcl_loss_terms(probs, labels, cfg: PenaltyConfig):
-    """Confident variant: unassigned members are pushed toward uniform output.
+def cmcl_loss_terms(logp, y, cfg: PenaltyConfig):
+    """Confident variant: unassigned members are pushed toward uniform output
+    (Lee et al. 2017).
 
-    Heads carry no auxiliary slot here; probabilities are plain class
+    Heads carry no auxiliary slot here; log-probabilities are of plain class
     distributions.
     """
-    p, ces, v = _top_k_ces(probs, labels, cfg.k, aux=False)
-    return _penalized(p, ces, v, ad.kl_uniform_to, cfg.beta), v
+    ces, v = _top_k_ces(logp, y, cfg.k)
+    return _penalized(logp, ces, v, _kl_uniform, cfg.beta), v
 
 
 def amcl_objective_terms(
     epoch: int,
-    probs,
-    labels,
+    logp,
+    y,
     cfg: PenaltyConfig,
     specialization: SpecializationMatrix | None = None,
 ):
@@ -277,12 +254,12 @@ def amcl_objective_terms(
     (terms, assignment, phase).
     """
     if epoch <= cfg.t_tau:
-        terms, v = lba_loss_terms(probs, labels, cfg)
+        terms, v = lba_loss_terms(logp, y, cfg)
         return terms, v, "lba"
     if specialization is None or not specialization.frozen:
         raise StateError(
             "memory-based phase requested before the specialization was frozen "
             "(assignment counter empty or never fixed)"
         )
-    terms, flags = mba_loss_terms(probs, labels, specialization, cfg)
+    terms, flags = mba_loss_terms(logp, y, specialization, cfg)
     return terms, flags, "mba"

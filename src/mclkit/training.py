@@ -1,11 +1,12 @@
 """Training loops for the four ensemble objectives.
 
 One coordinator owns the loop. Each step builds one graph for all members:
-the member-major [M, B, C] forward, the objective's [M] per-member terms
-(``losses.*_loss_terms`` against ``losses.one_hot`` labels), one backward
-from their sum into the ensemble's [M, …] layers, and one in-place SGD update
-per layer. Steps run under ``autodiff.deferred_checks`` and are checked
-once; a failing one is replayed with per-op checks to name the op.
+the member-major [M, B, C] forward and its log-softmax, the objective's [M]
+per-member terms (``losses.*_loss_terms`` against the batch's class indices,
+which ``train`` checks once per dataset), one backward from their sum into
+the ensemble's [M, …] layers, and one in-place SGD update per layer. Steps
+run under ``autodiff.deferred_checks`` and are checked once; a failing one
+is replayed with per-op checks to name the op.
 
 ``TrainConfig`` is the one source of training defaults; the CLI reads its
 own from it.
@@ -125,23 +126,18 @@ def freeze_specialization(state: EnsembleState) -> EnsembleState:
     return state
 
 
-def _objective_terms(state, cfg, epoch, probs, y):
+def _objective_terms(state, cfg, epoch, logp, y):
     """Per-member loss terms [M] plus the assignment actually used."""
-    n = state.n_classes
     if state.method == "ie":
-        ces = losses.member_cross_entropies(probs, losses.one_hot(y, n))
-        terms = losses.ie_loss_terms(ces)
+        terms = losses.ie_loss_terms(losses.member_cross_entropies(logp, y))
         return terms, np.ones((y.shape[0], len(state.members)), dtype=np.int64), "-"
     if state.method == "smcl":
-        terms, v = losses.smcl_loss_terms(probs, losses.one_hot(y, n), cfg.overlap_k)
+        terms, v = losses.smcl_loss_terms(logp, y, cfg.overlap_k)
         return terms, v, "-"
     if state.method == "cmcl":
-        terms, v = losses.cmcl_loss_terms(probs, losses.one_hot(y, n), cfg.penalty)
+        terms, v = losses.cmcl_loss_terms(logp, y, cfg.penalty)
         return terms, v, "-"
-    terms, v, phase = losses.amcl_objective_terms(
-        epoch, probs, losses.one_hot(y, n, aux=True), cfg.penalty, state.specialization
-    )
-    return terms, v, phase
+    return losses.amcl_objective_terms(epoch, logp, y, cfg.penalty, state.specialization)
 
 
 def _step(state, cfg, epoch, x, y, share_rng, held, deferred):
@@ -150,8 +146,8 @@ def _step(state, cfg, epoch, x, y, share_rng, held, deferred):
     it: a graph freed at its step's end is faulted back in by the next step."""
     with ad.deferred_checks(deferred):
         logits = ensemble_forward(state, x, train_mode=True, share_rng=share_rng)
-        probs = ad.softmax(logits, axis=-1)
-        terms, v, phase = _objective_terms(state, cfg, epoch, probs, y)
+        logp = ad.log_softmax(logits, axis=-1)
+        terms, v, phase = _objective_terms(state, cfg, epoch, logp, y)
         held[:] = [terms]
         ad.backward(terms.sum(), seed=1.0 / len(y))
     ad._check_finite(terms.data, "terms")
@@ -159,7 +155,7 @@ def _step(state, cfg, epoch, x, y, share_rng, held, deferred):
     for p in state.parameters():
         if p.grad is not None:
             ad._check_finite(p.grad, "gradient")
-    return probs.data, terms.data, v, phase
+    return logp.data, terms.data, v, phase
 
 
 def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
@@ -224,7 +220,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
                 rng_state = share_rng.bit_generator.state
                 try:
                     try:
-                        probs, terms, v, phase = _step(*step, deferred=True)
+                        logp, terms, v, phase = _step(*step, deferred=True)
                     except NumericError:
                         optimizer.zero_grad()
                         share_rng.bit_generator.state = rng_state
@@ -237,7 +233,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
                         f"epoch {epoch}, batch at example {start}: {exc}"
                     ) from exc
                 loss_sum += sum(terms.tolist())
-                seen_probs[rows] = probs.transpose(1, 0, 2)
+                np.exp(logp.transpose(1, 0, 2), out=seen_probs[rows])
                 seen_v[rows] = v
 
             y = labels[order]

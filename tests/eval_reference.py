@@ -1,10 +1,10 @@
 """Evaluation-path code in its reduction-based form, kept as a reference.
 
-These are softmax, the fused softmax cross-entropy, the ensemble average and
-the chunked member probabilities as they were written with numpy's axis
-reductions (``max``, ``mean``) and a final ``concatenate``, and the fusion
-inject with an unconditional residual ``mul``. The slice-wise forms in
-``mclkit`` must reproduce them bit for bit.
+These are softmax, log-softmax, the softmax cross-entropy, the ensemble
+average and the chunked member probabilities as they were written with
+numpy's axis reductions (``max``, ``mean``) and a final ``concatenate``, and
+the fusion inject with an unconditional residual ``mul``. The slice-wise
+forms in ``mclkit`` must reproduce them bit for bit.
 """
 import numpy as np
 
@@ -18,12 +18,16 @@ def softmax(x, axis=-1):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_cross_entropy(x, t):
-    """Loss per row and its gradient w.r.t. the logits, for a unit seed."""
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    z = e.sum(axis=-1, keepdims=True)
-    return (m + np.log(z))[..., 0] - (x * t).sum(axis=-1), e / z - t
+def log_softmax(x, axis=-1):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def softmax_cross_entropy(x, y):
+    """Loss per row of ``x`` [..., B, C] against the [B] class indices ``y``,
+    and its gradient w.r.t. the logits, for a unit seed."""
+    picked = log_softmax(x)[..., np.arange(y.shape[0]), y]
+    return -picked, softmax(x) - np.eye(x.shape[-1])[y]
 
 
 def ensemble_average(stripped, normalize=False):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import mclkit.autodiff as ad
+import mclkit.losses as ls
 from mclkit.errors import ConfigurationError, NumericError, StateError
 
 import conv_reference
@@ -34,24 +35,62 @@ def test_relu_values():
     assert np.array_equal(ad.relu(ad.Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
 
 
+def _ce(logits, y):
+    """Softmax cross-entropy of ``logits`` against class ``y``, in log space."""
+    return float(ad.nll(ad.log_softmax(ad.Tensor(logits)), y))
+
+
+def _kl_uniform(logits):
+    """KL(uniform || softmax(logits)), the confident objective's penalty."""
+    return float(ls._kl_uniform(ad.log_softmax(ad.Tensor(logits))))
+
+
 def test_cross_entropy_perfect_prediction():
-    assert float(ad.cross_entropy_onehot(ad.Tensor([0.0, 0.0, 1.0]), [0, 0, 1])) == 0.0
+    assert _ce([0.0, 0.0, 1000.0], 2) == 0.0
 
 
 def test_cross_entropy_uniform():
-    val = float(ad.cross_entropy_onehot(ad.Tensor([1 / 3, 1 / 3, 1 / 3]), [1, 0, 0]))
-    assert val == pytest.approx(1.0986122886681098, abs=1e-12)
+    assert _ce([0.0, 0.0, 0.0], 0) == pytest.approx(1.0986122886681098, abs=1e-12)
 
 
 def test_cross_entropy_quarter():
     # independent oracle: -math.log(0.25) = 1.3862943611198906
-    val = float(ad.cross_entropy_onehot(ad.Tensor([0.25, 0.75]), [1, 0]))
-    assert val == pytest.approx(1.3862943611198906, abs=1e-12)
+    assert _ce(np.log([0.25, 0.75]), 0) == pytest.approx(1.3862943611198906, abs=1e-12)
 
 
 def test_cross_entropy_length_mismatch():
     with pytest.raises(ConfigurationError):
-        ad.cross_entropy_onehot(ad.Tensor([0.5, 0.5]), [1, 0, 0])
+        ad.nll(ad.Tensor(np.zeros((2, 3))), [1, 0, 0])
+
+
+def test_cross_entropy_at_saturation_is_exact():
+    # A probability of e^-60 rounds to nothing next to 1; its log-space loss
+    # and gradient stay exact where a clamped log(softmax) read 27.63 and ~0.
+    logits = ad.Tensor(np.array([[0.0, 60.0, 0.0]]), op="param")
+    loss = ad.nll(ad.log_softmax(logits), np.array([0]))
+    loss.sum().backward()
+    assert loss.data[0] == pytest.approx(60.0, rel=1e-15)
+    want = ad.softmax(ad.Tensor(logits.data)).data - np.eye(3)[0]
+    assert np.allclose(logits.grad, want, rtol=0.0, atol=1e-6)
+    assert logits.grad[0, 0] == -1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(np.float64, st.integers(2, 8), elements=st.floats(-700.0, 700.0)),
+    st.data(),
+)
+def test_log_softmax_cross_entropy_matches_logsumexp_at_any_saturation(x, data):
+    from scipy.special import logsumexp, softmax
+
+    y = data.draw(st.integers(0, x.size - 1))
+    logits = ad.Tensor(x, op="param")
+    loss = ad.nll(ad.log_softmax(logits), y)
+    loss.backward()
+    want = logsumexp(x) - x[y]
+    # absolute near 0: scipy rounds a vanishing loss through log1p, log_softmax does not
+    assert abs(float(loss) - want) <= 1e-12 * max(1.0, want)
+    assert np.allclose(logits.grad, softmax(x) - np.eye(x.size)[y], rtol=0.0, atol=1e-12)
 
 
 def test_kl_to_onehot_matches_cross_entropy():
@@ -60,38 +99,33 @@ def test_kl_to_onehot_matches_cross_entropy():
     for _ in range(100):
         logits = rng.normal(size=5)
         p = np.exp(logits) / np.exp(logits).sum()
-        hot = np.zeros(5)
-        hot[rng.integers(5)] = 1.0
-        a = -(hot * np.log(p)).sum()
-        b = float(ad.cross_entropy_onehot(ad.Tensor(p), hot))
-        assert a == b
+        y = int(rng.integers(5))
+        a = -(np.eye(5)[y] * np.log(p)).sum()
+        assert _ce(logits, y) == pytest.approx(a, rel=1e-12)
 
 
 def test_kl_to_onehot_exact_match_and_uniform():
-    assert float(ad.cross_entropy_onehot(ad.Tensor([0.0, 0.0, 1.0]), [0, 0, 1])) == 0.0
-    uniform = ad.Tensor([1 / 3, 1 / 3, 1 / 3])
-    assert float(ad.cross_entropy_onehot(uniform, [0, 0, 1])) == pytest.approx(math.log(3), abs=1e-12)
+    assert _ce([-1000.0, -1000.0, 0.0], 2) == 0.0
+    assert _ce([1.0, 1.0, 1.0], 2) == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_kl_uniform_zero_on_uniform():
-    assert float(ad.kl_uniform_to(ad.Tensor([0.5, 0.5]))) == pytest.approx(0.0, abs=1e-12)
+    assert _kl_uniform([0.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_uniform_value():
     # independent oracle: 0.5*(log(0.5/0.75)+log(0.5/0.25)) = 0.14384103622589042
-    val = float(ad.kl_uniform_to(ad.Tensor([0.75, 0.25])))
-    assert val == pytest.approx(0.14384103622589042, abs=1e-12)
+    assert _kl_uniform(np.log([0.75, 0.25])) == pytest.approx(0.14384103622589042, abs=1e-12)
 
 
-def test_kl_uniform_clamps_instead_of_nan():
-    val = float(ad.kl_uniform_to(ad.Tensor([1.0 - 1e-15, 1e-15])))
-    assert np.isfinite(val)
-    assert val > 5.0
+def test_kl_uniform_saturated_stays_exact():
+    # p = (1, e^-1000): -mean(log p) - log 2, with no clamp on the tiny entry
+    assert _kl_uniform([0.0, -1000.0]) == pytest.approx(500.0 - math.log(2), rel=1e-15)
 
 
 def test_kl_uniform_rejects_empty():
     with pytest.raises(ConfigurationError):
-        ad.kl_uniform_to(ad.Tensor(np.zeros((0,))))
+        _kl_uniform(np.zeros((0,)))
 
 
 def test_dense_shape_mismatch():
@@ -275,26 +309,25 @@ def test_backward_requires_scalar():
 
 def test_fused_softmax_ce_gradient_closed_form():
     logits = ad.Tensor(RNG.normal(size=(3, 5)), op="param")
-    hot = np.zeros((3, 5))
-    hot[np.arange(3), [1, 4, 0]] = 1.0
-    loss = ad.softmax_cross_entropy(logits, hot).sum()
+    y = np.array([1, 4, 0])
+    loss = ad.nll(ad.log_softmax(logits), y).sum()
     loss.backward()
     p = ad.softmax(logits).data
-    assert np.allclose(logits.grad, p - hot, atol=1e-12)
+    assert np.allclose(logits.grad, p - np.eye(5)[y], atol=1e-12)
     numeric = numeric_grad(
-        lambda: float(ad.softmax_cross_entropy(logits, hot).sum()), logits.data
+        lambda: float(ad.nll(ad.log_softmax(logits), y).sum()), logits.data
     )
     assert_grads_close(logits.grad, numeric)
 
 
 def test_composed_softmax_ce_gradient_closed_form():
-    logits = ad.Tensor(RNG.normal(size=(2, 4)), op="param")
-    hot = np.zeros((2, 4))
-    hot[np.arange(2), [2, 0]] = 1.0
-    loss = ad.cross_entropy_onehot(ad.softmax(logits), hot).sum()
+    # member-major [M, B, C] logits, as training passes them
+    logits = ad.Tensor(RNG.normal(size=(2, 2, 4)), op="param")
+    y = np.array([2, 0])
+    loss = ad.nll(ad.log_softmax(logits), y).sum()
     loss.backward()
     p = ad.softmax(logits).data
-    assert np.allclose(logits.grad, p - hot, atol=1e-9)
+    assert np.allclose(logits.grad, p - np.eye(4)[y], atol=1e-12)
 
 
 def test_double_backward_doubles_grads():
@@ -326,10 +359,10 @@ def test_forward_backward_bit_determinism():
         rng = np.random.default_rng(11)
         x = ad.Tensor(rng.normal(size=(4, 3, 8, 8)), op="param")
         w = ad.Tensor(rng.normal(size=(5, 3, 3, 3)), op="param")
-        out = ad.softmax(
+        out = ad.log_softmax(
             ad.reshape(ad.maxpool2x2(ad.relu(ad.conv2d(x, w))), (4, -1))
         )
-        loss = ad.cross_entropy_onehot(out, np.eye(out.shape[-1])[:4]).sum()
+        loss = ad.nll(out, np.arange(4)).sum()
         loss.backward()
         return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
@@ -489,31 +522,31 @@ def test_conv2d_relu_is_bit_identical_to_relu_of_conv2d(bias, k, x_op):
 
 
 @pytest.mark.parametrize("target", ["labels", "aux_slot"])
-def test_cross_entropy_onehot_is_bit_identical_to_log_mul_sum_neg(target):
+def test_nll_is_bit_identical_to_mul_sum_neg(target):
     rng = np.random.default_rng(list(target.encode()))
-    p = rng.dirichlet(np.ones(5), size=(3, 16))
-    p[0, :4] = np.eye(5)[1]  # saturated rows exercise both ends of the clamp
-    t = np.eye(5)[rng.integers(0, 5, 16)] if target == "labels" else np.eye(5)[[4]]
+    logp = ad.log_softmax(ad.Tensor(rng.normal(scale=30.0, size=(3, 16, 5)))).data
+    y = rng.integers(0, 5, 16) if target == "labels" else 4
+    hot = np.eye(5)[y]
 
-    def composed(p):
-        return ad.neg(ad.tensor_sum(ad.mul(ad.log(p, lo=ad.EPS_PROB, hi=1.0), t), axis=-1))
+    def composed(logp):
+        return ad.neg(ad.tensor_sum(ad.mul(logp, hot), axis=-1))
 
     runs = _fused_and_composed(
-        lambda p: ad.cross_entropy_onehot(p, t), composed, [p], rng.normal(size=(3, 16))
+        lambda logp: ad.nll(logp, y), composed, [logp], rng.normal(size=(3, 16))
     )
     _assert_bit_identical(runs)
 
 
 def test_kl_uniform_to_is_bit_identical_to_log_mean_neg_add():
+    # the confident objective's uniform term, against the composition it names
     rng = np.random.default_rng(7)
-    p = rng.dirichlet(np.ones(5), size=(3, 16))  # 1/5 is inexact, so the order shows
-    p[1, :2] = np.eye(5)[3]
+    logp = ad.log_softmax(ad.Tensor(rng.normal(scale=30.0, size=(3, 16, 5)))).data
 
-    def composed(p):
-        mean_neglog = ad.neg(ad.tensor_mean(ad.log(p, lo=ad.EPS_PROB, hi=1.0), axis=-1))
+    def composed(logp):
+        mean_neglog = ad.neg(ad.tensor_mean(logp, axis=-1))  # 1/5 is inexact, so the order shows
         return ad.add(mean_neglog, -math.log(5))
 
-    runs = _fused_and_composed(ad.kl_uniform_to, composed, [p], rng.normal(size=(3, 16)))
+    runs = _fused_and_composed(ls._kl_uniform, composed, [logp], rng.normal(size=(3, 16)))
     _assert_bit_identical(runs)
 
 
@@ -775,15 +808,14 @@ def _fd_case(name):
         b = ad.Tensor(rng.normal(size=(2, 1, 2)), op="param")
         probe = rng.normal(size=(2, 3, 2))
         return lambda: ad.mul(ad.dense(x, w, b, relu=True), probe).sum(), [x, w, b]
-    if name == "cross_entropy_onehot":
-        p = ad.Tensor(rng.uniform(0.1, 0.9, size=(2, 3, 4)), op="param")
-        hot = np.eye(4)[[0, 2, 3]]
+    if name == "nll":
+        logp = ad.Tensor(rng.normal(size=(2, 3, 4)), op="param")
         probe = rng.normal(size=(2, 3))
-        return lambda: ad.mul(ad.cross_entropy_onehot(p, hot), probe).sum(), [p]
+        return lambda: ad.mul(ad.nll(logp, [0, 2, 3]), probe).sum(), [logp]
     if name == "kl_uniform_to":
-        p = ad.Tensor(rng.uniform(0.1, 0.9, size=(3, 4)), op="param")
+        logp = ad.Tensor(rng.normal(size=(3, 4)), op="param")
         probe = rng.normal(size=3)
-        return lambda: ad.mul(ad.kl_uniform_to(p), probe).sum(), [p]
+        return lambda: ad.mul(ls._kl_uniform(logp), probe).sum(), [logp]
     if name == "masked_sum":
         v = ad.Tensor(rng.normal(size=(2, 5)), op="param")
         mask = np.array([[1.0, 0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0]])
@@ -800,17 +832,21 @@ def _fd_case(name):
     if name == "mean":
         x = ad.Tensor(rng.normal(size=(3, 4, 2)), op="param")
         return lambda: ad.mul(x.mean(axis=(1, 2)), np.array([1.0, -2.0, 0.5])).sum(), [x]
+    if name == "log_softmax":
+        x = ad.Tensor(rng.normal(size=(2, 4, 3)), op="param")
+        probe = rng.normal(size=(2, 4, 3))
+        return lambda: ad.mul(ad.log_softmax(x, axis=1), probe).sum(), [x]
     if name == "softmax_cross_entropy":
         x = ad.Tensor(rng.normal(size=(3, 4)), op="param")
-        hot = np.eye(4)[[0, 2, 3]]
-        return lambda: ad.softmax_cross_entropy(x, hot).sum(), [x]
-    if name == "cross_entropy_composed":
-        x = ad.Tensor(rng.normal(size=(3, 4)), op="param")
-        hot = np.eye(4)[[1, 1, 2]]
-        return lambda: ad.cross_entropy_onehot(ad.softmax(x), hot).sum(), [x]
+        return lambda: ad.nll(ad.log_softmax(x), [0, 2, 3]).sum(), [x]
+    if name == "cross_entropy_composed":  # member-major, as training composes it
+        a = ad.Tensor(rng.normal(size=(3, 4)), op="param")
+        b = ad.Tensor(rng.normal(size=(3, 4)), op="param")
+        probe = rng.normal(size=(2, 3))
+        return lambda: ad.mul(ad.nll(ad.log_softmax(ad.stack([a, b])), [1, 1, 2]), probe).sum(), [a, b]
     if name == "kl_uniform":
         x = ad.Tensor(rng.normal(size=(3, 4)), op="param")
-        return lambda: ad.kl_uniform_to(ad.softmax(x)).sum(), [x]
+        return lambda: ls._kl_uniform(ad.log_softmax(x)).sum(), [x]
     raise AssertionError(name)
 
 
@@ -835,12 +871,13 @@ def rng2_const(x):
         "matmul_shared_operand",
         "dense_member_axis",
         "dense_shared_operand",
-        "cross_entropy_onehot",
+        "nll",
         "kl_uniform_to",
         "masked_sum",
         "stack",
         "take",
         "mean",
+        "log_softmax",
         "softmax_cross_entropy",
         "cross_entropy_composed",
         "kl_uniform",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mclkit.autodiff as ad
+from mclkit.data import load_checkpoint, save_checkpoint
 from mclkit.ensemble import build_ensemble, ensemble_forward, member_probabilities
 from mclkit.errors import NumericError
 from mclkit.models import ArchitectureSpec
@@ -42,6 +43,18 @@ def test_member_probabilities_bit_identical_to_recorded_forward(arch, fusion):
         [_recorded_probabilities(state, x[i : i + 5]) for i in range(0, 12, 5)]
     )
     assert np.array_equal(member_probabilities(state, x, batch_size=5), expected)
+
+
+@pytest.mark.parametrize("arch", [MLP, CNN], ids=["mlp", "cnn"])
+@pytest.mark.parametrize("fusion", ["none", "module"])
+def test_every_parameter_is_c_contiguous_fresh_and_loaded(arch, fusion, tmp_path):
+    # A matmul's bits depend on its operands' layout, and sgd_step updates in
+    # place: a parameter must start out in the layout it keeps.
+    state = _ensemble(arch, fusion)
+    save_checkpoint(state, tmp_path / "ck.amc1")
+    for s in (state, load_checkpoint(tmp_path / "ck.amc1")):
+        assert len(s.parameters()) == len(s.layers) + (6 if fusion == "module" else 0)
+        assert all(p.data.flags.c_contiguous for p in s.parameters())
 
 
 def _peak_bytes(fn):

@@ -64,11 +64,13 @@ def test_softmax_of_nan_names_softmax_outside_deferred_checks():
 @pytest.mark.parametrize("rows", ROWS)
 def test_softmax_cross_entropy_bit_identical(width, rows):
     x = _logits((2, rows // 2, width), width + 1)
-    t = np.eye(width)[np.random.default_rng(width).integers(0, width, size=x.shape[:-1])]
+    y = np.random.default_rng(width).integers(0, width, size=rows // 2)
     logits = ad.Tensor(x, op="param")
-    ce = ad.softmax_cross_entropy(logits, t)
+    logp = ad.log_softmax(logits)
+    ce = ad.nll(logp, y)
     ce.sum().backward()
-    want_ce, want_grad = ref.softmax_cross_entropy(x, t)
+    want_ce, want_grad = ref.softmax_cross_entropy(x, y)
+    assert np.array_equal(logp.data, ref.log_softmax(x))
     assert np.array_equal(ce.data, want_ce)
     assert np.array_equal(logits.grad, want_grad)
 

@@ -25,39 +25,38 @@ def _case(kind, m, k, weight):
     rng = np.random.default_rng([m, k, int(weight * 4), len(kind)])
     aux = kind in ("lba", "mba")
     width = N_CLASSES + aux
-    # Large logits push some probabilities under the log clamp.
+    # Large logits saturate some rows: probabilities that round to 0 or 1.
     logits = rng.normal(scale=10.0, size=(m, B, width))
     y = rng.integers(0, N_CLASSES, size=B)
-    labels = ls.one_hot(y, N_CLASSES, aux=aux)
     w = np.zeros((N_CLASSES, m), dtype=np.int64)
     np.put_along_axis(w, rng.permuted(np.tile(np.arange(m), (N_CLASSES, 1)), axis=1)[:, :k], 1, axis=1)
-    return logits, labels, w
+    return logits, y, w
 
 
-def _new_terms(kind, probs, labels, k, weight, w):
+def _new_terms(kind, logp, y, k, weight, w):
     cfg = ls.PenaltyConfig(beta=weight, gamma=weight, k=k)
     if kind == "ie":
-        return ls.ie_loss_terms(ls.member_cross_entropies(probs, labels)), None
+        return ls.ie_loss_terms(ls.member_cross_entropies(logp, y)), None
     if kind == "smcl":
-        return ls.smcl_loss_terms(probs, labels, k)
+        return ls.smcl_loss_terms(logp, y, k)
     if kind == "cmcl":
-        return ls.cmcl_loss_terms(probs, labels, cfg)
+        return ls.cmcl_loss_terms(logp, y, cfg)
     if kind == "lba":
-        return ls.lba_loss_terms(probs, labels, cfg)
+        return ls.lba_loss_terms(logp, y, cfg)
     spec = ls.SpecializationMatrix(w=w, k=k, frozen=True)
-    return ls.mba_loss_terms(probs, labels, spec, cfg)
+    return ls.mba_loss_terms(logp, y, spec, cfg)
 
 
-def _ref_terms(kind, members, labels, k, weight, w):
+def _ref_terms(kind, members, y, k, weight, w):
     if kind == "ie":
-        return ref.ie_terms(members, labels)
+        return ref.ie_terms(members, y)
     if kind == "smcl":
-        return ref.smcl_terms(members, labels, k)
+        return ref.smcl_terms(members, y, k)
     if kind == "cmcl":
-        return ref.cmcl_terms(members, labels, k, weight)
+        return ref.cmcl_terms(members, y, k, weight)
     if kind == "lba":
-        return ref.lba_terms(members, labels, k, weight)
-    return ref.mba_terms(members, labels, w, weight)
+        return ref.lba_terms(members, y, k, weight)
+    return ref.mba_terms(members, y, w, weight)
 
 
 def _params(logits):
@@ -67,18 +66,18 @@ def _params(logits):
 @pytest.mark.parametrize("form", ["list", "member_major"])
 @pytest.mark.parametrize("kind,m,k,weight", CASES)
 def test_member_axis_objective_matches_loop_form_bitwise(kind, m, k, weight, form):
-    logits, labels, w = _case(kind, m, k, weight)
+    logits, y, w = _case(kind, m, k, weight)
 
     ref_logits = _params(logits)
-    ref_terms, ref_v = _ref_terms(kind, [ad.softmax(lg) for lg in ref_logits], labels, k, weight, w)
+    ref_terms, ref_v = _ref_terms(kind, [ad.log_softmax(lg) for lg in ref_logits], y, k, weight, w)
     ad.backward(reduce(add, ref_terms))
 
     new_logits = _params(logits)
-    if form == "list":  # per-member softmaxes, stacked member-major
-        probs = ad.stack([ad.softmax(lg) for lg in new_logits])
+    if form == "list":  # per-member log-softmaxes, stacked member-major
+        logp = ad.stack([ad.log_softmax(lg) for lg in new_logits])
     else:
-        probs = ad.softmax(ad.stack(new_logits))
-    terms, v = _new_terms(kind, probs, labels, k, weight, w)
+        logp = ad.log_softmax(ad.stack(new_logits))
+    terms, v = _new_terms(kind, logp, y, k, weight, w)
     assert terms.shape == (m,)
     ad.backward(terms.sum())
 
@@ -91,11 +90,11 @@ def test_member_axis_objective_matches_loop_form_bitwise(kind, m, k, weight, for
 
 @pytest.mark.parametrize("kind", ["smcl", "cmcl", "lba", "mba"])
 def test_array_input_terms_match_loop_form_bitwise(kind):
-    logits, labels, w = _case(kind, 3, 1, 0.75)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
-    # A constant member-major array: no graph behind the probabilities.
-    terms, v = _new_terms(kind, ad.as_tensor(probs), labels, 1, 0.75, w)
-    ref_terms, ref_v = _ref_terms(kind, [ad.as_tensor(p) for p in probs], labels, 1, 0.75, w)
+    logits, y, w = _case(kind, 3, 1, 0.75)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # A constant member-major array: no graph behind the log-probabilities.
+    terms, v = _new_terms(kind, ad.as_tensor(logp), y, 1, 0.75, w)
+    ref_terms, ref_v = _ref_terms(kind, [ad.as_tensor(lp) for lp in logp], y, 1, 0.75, w)
     assert terms.data.tobytes() == np.array([float(t) for t in ref_terms]).tobytes()
     assert np.array_equal(v, ref_v)

@@ -4,7 +4,7 @@ import pytest
 
 import mclkit.autodiff as ad
 import mclkit.losses as ls
-from mclkit.data import DatasetSpec, generate_bar_images, generate_blobs
+from mclkit.data import DatasetSpec, LabeledDataset, generate_bar_images, generate_blobs
 from mclkit.ensemble import build_ensemble, ensemble_forward
 from mclkit.errors import ConfigurationError, NumericError, StateError
 from mclkit.models import ArchitectureSpec
@@ -36,14 +36,15 @@ def _mlp_cfg(method, **kw):
     [
         pytest.param("ie", 1, 13, id="ie"),
         pytest.param("smcl", 1, 13, id="smcl"),
-        pytest.param("cmcl", 1, 17, id="cmcl"),
+        pytest.param("cmcl", 1, 19, id="cmcl"),
         pytest.param("amcl", 1, 17, id="amcl-lba"),
         pytest.param("amcl", 2, 17, id="amcl-mba"),
     ],
 )
 def test_mlp_training_step_graph_size(method, epoch, nodes, monkeypatch):
     # One 3-member step over two hidden layers: 6 parameter leaves, 3 dense
-    # nodes and the softmax, then one node per objective term and the sum.
+    # nodes and the log-softmax, then one node per objective term and the
+    # sum; cmcl's uniform term -mean(log p) - log C takes three (sum, mul, add).
     sizes = []
     walk = ad.topo_order
 
@@ -74,11 +75,11 @@ def _one_batch_grads(method, k=1, fusion="none"):
     x = BLOBS.features[:1]
     y = BLOBS.labels[:1]
     logits = ensemble_forward(state, x, train_mode=True, share_rng=np.random.default_rng(0))
-    probs = ad.softmax(logits)
+    logp = ad.log_softmax(logits)
     if method == "smcl":
-        terms, v = ls.smcl_loss_terms(probs, ls.one_hot(y, 2), k)
+        terms, v = ls.smcl_loss_terms(logp, y, k)
     else:
-        ces = ls.member_cross_entropies(probs, ls.one_hot(y, 2))
+        ces = ls.member_cross_entropies(logp, y)
         terms, v = ls.ie_loss_terms(ces), np.ones((1, 2), dtype=np.int64)
     ad.backward(terms.sum())
     norms = [
@@ -172,6 +173,18 @@ def test_amcl_t_tau_below_one_rejected_before_any_work(t_tau, monkeypatch):
     with pytest.raises(StateError, match="t_tau"):
         train(BLOBS, _mlp_cfg("amcl", t_tau=t_tau, epochs=2), on_epoch=lambda *a: epochs.append(a))
     assert epochs == []
+
+
+@pytest.mark.parametrize("method", ["smcl", "amcl"])
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_train_rejects_labels_outside_the_classes(bad, method):
+    # Labels are checked once per dataset; the objectives take class indices
+    # as they are. Label 2 of two classes is amcl's auxiliary slot.
+    labels = BLOBS.labels.copy()
+    labels[7] = bad
+    ds = LabeledDataset(features=BLOBS.features, labels=labels, n_classes=2)
+    with pytest.raises(ConfigurationError, match="labels out of range"):
+        train(ds, _mlp_cfg(method, epochs=1))
 
 
 def test_counter_accumulates_only_through_threshold():

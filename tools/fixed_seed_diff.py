@@ -10,13 +10,18 @@ file the two checkouts write is compared byte for byte: ``train_log.csv``,
 ``purity_flow.csv``, ``summary.csv``, ``config.txt``, every checkpoint (the
 fusion runs also save one per epoch) and every file of ``mclkit eval``
 (errors, confidence histograms, and for amcl the cross-entropy split,
-cumulative purity and OOD scores). Outputs go under ``--work`` (default: a
-temporary directory, removed at the end). Exit status 0 when every file
-matches, 1 when any differs or is missing on one side.
+cumulative purity and OOD scores). A differing ``.csv`` also reports how many
+of its cells differ and the largest absolute difference among its numeric
+cells, so outputs that move only in their last digits show as such. Outputs
+go under ``--work`` (default: a temporary directory, removed at the end).
+Exit status 0 when every file matches, 1 when any differs or is missing on
+one side.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import os
 import subprocess
 import sys
@@ -72,14 +77,36 @@ def run_config(checkout: Path, side_dir: Path, name: str) -> None:
                                  "--out", f"{name}/eval"])
 
 
+def csv_difference(a: Path, b: Path) -> str:
+    """How many cells of two CSV files differ, and by how much at most where
+    both cells are numbers. A row or cell present on one side only differs."""
+    with a.open(newline="") as fa, b.open(newline="") as fb:
+        rows = list(itertools.zip_longest(csv.reader(fa), csv.reader(fb), fillvalue=[]))
+    cells = differing = 0
+    largest = 0.0
+    for row_a, row_b in rows:
+        for cell_a, cell_b in itertools.zip_longest(row_a, row_b):
+            cells += 1
+            if cell_a == cell_b:
+                continue
+            differing += 1
+            try:
+                largest = max(largest, abs(float(cell_a) - float(cell_b)))
+            except (TypeError, ValueError):
+                pass
+    return f"{differing} of {cells} cells differ, largest numeric difference {largest:.3g}"
+
+
 def compare_trees(a: Path, b: Path) -> list:
     """Relative paths that exist on one side only or differ in content."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     problems = [f"only in A: {p}" for p in sorted(files_a - files_b)]
     problems += [f"only in B: {p}" for p in sorted(files_b - files_a)]
-    problems += [f"differs: {p}" for p in sorted(files_a & files_b)
-                 if (a / p).read_bytes() != (b / p).read_bytes()]
+    for p in sorted(files_a & files_b):
+        if (a / p).read_bytes() != (b / p).read_bytes():
+            detail = f" ({csv_difference(a / p, b / p)})" if p.suffix == ".csv" else ""
+            problems.append(f"differs: {p}{detail}")
     return problems
 
 

@@ -79,7 +79,6 @@ class _GraphSwitch(threading.local):
 
 
 _graph = _GraphSwitch()
-_grad_lock = threading.Lock()  # backward passes on several threads may share leaves
 
 
 @contextmanager
@@ -658,8 +657,7 @@ def backward(loss: Tensor, seed=1.0) -> None:
     The root is a scalar node and ``seed`` a scalar. The pass propagates
     pass-local gradients, so calling backward twice without zeroing doubles
     every grad exactly. Contributions to parents that need no gradient
-    (constants, input batches) are dropped unchecked. Passes on several
-    threads may share nodes: each grad slot is updated under a lock.
+    (constants, input batches) are dropped unchecked.
     """
     if loss.data.size != 1:
         raise StateError("backward requires a scalar loss node")
@@ -671,8 +669,7 @@ def backward(loss: Tensor, seed=1.0) -> None:
         g = local.pop(id(node), None)
         if g is None:
             continue
-        with _grad_lock:
-            node.grad = g if node.grad is None else node.grad + g
+        node.grad = g if node.grad is None else node.grad + g
         if node._backward is None:
             continue
         # ``take`` hands over its slot, written into one zero buffer per

@@ -134,34 +134,68 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     return ad.stack(logits)
 
 
-def member_probabilities(state: EnsembleState, features, batch_size: int = EVAL_BATCH) -> np.ndarray:
-    """Stacked softmax outputs [N, M, width], ``batch_size`` examples at a time,
-    written into one C-ordered array.
+def _class_major_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the class axis of member-major logits [M, B, W], laid out
+    class-major [W, M, B], with the bits of ``e / e.sum(-1)`` on [M, B, W].
+
+    One contiguous copy; the max is an elementwise maximum of class slices
+    (exact), and subtract, ``exp`` and divide run in place. Below 8 classes
+    the class sum is slice adds in index order, which give numpy's bits on
+    that short axis; from 8 on numpy sums pairwise, so the sum is numpy's own
+    last-axis ``sum`` of a C-ordered [M, B, W] copy.
+    """
+    p = logits.transpose(2, 0, 1).copy()
+    top = p[0].copy()
+    for row in p[1:]:
+        np.maximum(top, row, out=top)
+    p -= top
+    np.exp(p, out=p)
+    if len(p) < 8:
+        total = p[0].copy()
+        for row in p[1:]:
+            total += row
+    else:
+        total = np.ascontiguousarray(p.transpose(1, 2, 0)).sum(axis=-1)
+    p /= total
+    return p
+
+
+def _chunk_probabilities(state: EnsembleState, chunk, deferred: bool) -> np.ndarray:
+    with ad.no_graph(), ad.deferred_checks(deferred):
+        logits = ensemble_forward(state, chunk, train_mode=False).data
+    probs = _class_major_softmax(logits)
+    ad._check_finite(probs, "probabilities")
+    return probs
+
+
+def probability_chunks(state: EnsembleState, features, batch_size: int = EVAL_BATCH):
+    """Yield ``(start, probs)`` for each chunk of ``batch_size`` examples from
+    ``start`` on, ``probs`` being the members' class-major softmax [W, M, B].
 
     Each chunk runs the ordinary forward under ``no_graph``: the arithmetic
     is that of a training forward, but no graph is recorded, so activations
     are freed once the next layer has consumed them. Without a fusion stage
     a CNN chunk holds one member's trunk at a time; with one, every member's
     tap lives until its member has continued past it. Only the probabilities
-    are checked; a failing chunk reruns with per-op checks.
+    are checked; a failing chunk reruns with per-op checks, to name the op.
     """
-    def chunk_probs(chunk, deferred):
-        with ad.deferred_checks(deferred):
-            probs = ad.softmax(ensemble_forward(state, chunk, train_mode=False), axis=-1).data
-        ad._check_finite(probs, "probabilities")
-        return probs.transpose(1, 0, 2)
-
-    n = features.shape[0]
-    out = np.empty((n, len(state.members), state.arch.output_dim))
-    with ad.no_graph():
-        for start in range(0, n, batch_size):
-            chunk = features[start : start + batch_size]
-            try:
-                out[start : start + batch_size] = chunk_probs(chunk, deferred=True)
-            except NumericError:
-                chunk_probs(chunk, deferred=False)
-                raise
+    for start in range(0, features.shape[0], batch_size):
+        chunk = features[start : start + batch_size]
+        try:
+            probs = _chunk_probabilities(state, chunk, deferred=True)
+        except NumericError:
+            _chunk_probabilities(state, chunk, deferred=False)
+            raise
+        yield start, probs
     # The chunks' freed activations would otherwise stay resident in the heap
     # and raise the next pass's peak by where they happened to lie.
     ad.release_heap()
+
+
+def member_probabilities(state: EnsembleState, features, batch_size: int = EVAL_BATCH) -> np.ndarray:
+    """Stacked softmax outputs [N, M, width] in one C-ordered array, written
+    chunk by chunk from ``probability_chunks``."""
+    out = np.empty((features.shape[0], len(state.members), state.arch.output_dim))
+    for start, probs in probability_chunks(state, features, batch_size):
+        out[start : start + probs.shape[2]] = probs.transpose(2, 1, 0)
     return out

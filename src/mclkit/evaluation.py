@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +25,16 @@ HISTOGRAM_BINS = 20
 
 @dataclass
 class EnsemblePrediction:
-    """Stripped per-model rows plus their average, optionally renormalized."""
+    """Stripped per-model rows and their member mean. ``normalized``, the
+    mean scaled to sum to 1 per row (rows rejected by all members stay
+    zero), is computed when first read."""
 
     per_model: np.ndarray  # [B, M, n_classes]
     averaged: np.ndarray  # [B, n_classes]
-    normalized: np.ndarray  # [B, n_classes]
+
+    @cached_property
+    def normalized(self) -> np.ndarray:  # [B, n_classes]
+        return _normalized(self.averaged)[0]
 
 
 @dataclass
@@ -73,24 +79,30 @@ def ensemble_average(stripped, normalize: bool = False) -> np.ndarray:
         raise InputError("stripped probabilities must be [M, C] or [B, M, C]")
     averaged = _member_mean(arr if arr.ndim == 3 else arr[None])
     if normalize:
-        averaged = _normalized(averaged)
+        averaged, rejected = _normalized(averaged)
+        _log_rejected(rejected)
     return averaged if arr.ndim == 3 else averaged[0]
 
 
 def _member_mean(arr: np.ndarray) -> np.ndarray:
-    """Mean over M of [B, M, C], adding the member slices in index order, as
-    ``arr.mean(axis=1)`` does for a C-ordered ``arr`` with C ≥ 2: same bits."""
+    """Mean over the member axis 1 of a 3-D ``arr``, adding the member slices
+    in index order, as ``arr.mean(axis=1)`` does for a C-ordered [B, M, C]
+    ``arr`` with C ≥ 2: same bits."""
     total = arr[:, 0].copy()
     for m in range(1, arr.shape[1]):
         total += arr[:, m]
     return total / arr.shape[1]
 
 
-def _normalized(averaged: np.ndarray) -> np.ndarray:
+def _log_rejected(count: int) -> None:
+    if count:
+        log.warning("%d example(s) rejected by all members", count)
+
+
+def _normalized(averaged: np.ndarray) -> tuple:
+    """Rows of ``averaged`` scaled to sum to 1, and how many rows had no mass."""
     totals = averaged.sum(axis=1, keepdims=True)
     rejected = totals[:, 0] <= 0.0
-    if rejected.any():
-        log.warning("%d example(s) rejected by all members", int(rejected.sum()))
     safe = np.where(totals > 0.0, totals, 1.0)
     out = averaged / safe
     out[rejected] = 0.0
@@ -100,7 +112,7 @@ def _normalized(averaged: np.ndarray) -> np.ndarray:
     win = averaged.argmax(axis=1)
     rows = np.flatnonzero(out.argmax(axis=1) != win)
     out[rows, win[rows]] = np.nextafter(out[rows, win[rows]], np.inf)
-    return out
+    return out, int(rejected.sum())
 
 
 def oracle_error(per_model_argmax: np.ndarray, labels) -> float:
@@ -192,23 +204,49 @@ def purity_flow(snapshots) -> np.ndarray:
     return np.stack(out, axis=0)
 
 
-def evaluate_predictions(state, probs: np.ndarray) -> EnsemblePrediction:
-    """Post-process stacked member probabilities [B, M, width]."""
-    stripped = strip_auxiliary(probs) if state.has_aux else np.asarray(probs, dtype=np.float64).copy()
-    averaged = ensemble_average(stripped, normalize=False)
-    normalized = _normalized(averaged)
-    return EnsemblePrediction(per_model=stripped, averaged=averaged, normalized=normalized)
+def _class_argmax(p: np.ndarray) -> tuple:
+    """Index and value of the maximum over the leading class axis, by slices.
+
+    A strict ``>`` keeps the first maximum, as ``np.argmax`` does on finite
+    values."""
+    top = p[0].copy()
+    index = np.zeros(top.shape, dtype=np.intp)
+    for c in range(1, len(p)):
+        np.copyto(index, c, where=p[c] > top)
+        np.maximum(top, p[c], out=top)
+    return index, top
 
 
 def evaluate_ensemble(state, dataset, batch_size: int = ensemble.EVAL_BATCH) -> tuple:
     """Forward the test set and compute the error metrics.
 
-    Returns (EnsemblePrediction, MetricReport with errors only).
+    One loop finishes each chunk of ``ensemble.probability_chunks`` while it
+    is in cache: its stripped rows go into ``per_model``, its member mean
+    into ``averaged``, and the argmaxes of both count the oracle and top-1 misses.
+    Rows whose mean has no class above 0 are rejected by all members; they
+    are counted and logged once. Returns (EnsemblePrediction, MetricReport
+    with errors only).
     """
-    probs = ensemble.member_probabilities(state, dataset.features, batch_size=batch_size)
-    pred = evaluate_predictions(state, probs)
+    labels = np.asarray(dataset.labels)
+    n, members, classes = labels.shape[0], len(state.members), state.n_classes
+    per_model = np.empty((n, members, classes))
+    averaged = np.empty((n, classes))
+    oracle_misses = top1_misses = rejected = 0
+    for start, probs in ensemble.probability_chunks(state, dataset.features, batch_size):
+        probs = probs[:classes]  # the auxiliary slot, if any, is last
+        rows = slice(start, start + probs.shape[2])
+        y = labels[rows]
+        per_model[rows] = probs.transpose(2, 1, 0)
+        mean = _member_mean(probs)  # [C, B]
+        averaged[rows] = mean.T
+        member_pred, _ = _class_argmax(probs)
+        oracle_misses += int((member_pred != y).all(axis=0).sum())
+        pred, top = _class_argmax(mean)
+        top1_misses += int((pred != y).sum())
+        rejected += int((top <= 0.0).sum())
+    _log_rejected(rejected)
     report = MetricReport(
-        oracle_error=oracle_error(pred.per_model.argmax(axis=2), dataset.labels),
-        top1_error=top1_error(pred.averaged, dataset.labels),
+        oracle_error=100.0 * (oracle_misses / n),
+        top1_error=100.0 * (top1_misses / n),
     )
-    return pred, report
+    return EnsemblePrediction(per_model=per_model, averaged=averaged), report

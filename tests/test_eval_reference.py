@@ -1,13 +1,15 @@
 """The slice-wise evaluation path against its reduction-based form, bit for bit."""
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mclkit.autodiff as ad
-from mclkit.ensemble import build_ensemble, member_probabilities
+from mclkit import ensemble
+from mclkit.ensemble import _class_major_softmax, build_ensemble, member_probabilities
 from mclkit.errors import NumericError
-from mclkit.evaluation import ensemble_average, evaluate_predictions, ood_score
+from mclkit.evaluation import ensemble_average, evaluate_ensemble, ood_score
 from mclkit.fusion import FusionModule
 from mclkit.models import ArchitectureSpec
 
@@ -75,26 +77,64 @@ def test_softmax_cross_entropy_bit_identical(width, rows):
     assert np.array_equal(logits.grad, want_grad)
 
 
+@pytest.mark.parametrize("width", (1, 2, 5, 7, 8, 9, 17))
+@pytest.mark.parametrize("members,rows", [(1, 1), (3, 11), (3, 512), (2, 700)])
+def test_class_major_softmax_bit_identical(width, members, rows):
+    # Widths 7 and 8 straddle the switch from slice adds to numpy's pairwise sum.
+    x = _logits((members, rows, width), width + rows)
+    p = _class_major_softmax(x)
+    assert p.shape == (width, members, rows) and p.flags.c_contiguous
+    assert np.array_equal(p, ref.softmax(x).transpose(2, 0, 1))
+
+
 def _member_probs(b, m, width, rejected_rows, seed):
     probs = np.random.default_rng(seed).dirichlet(np.ones(width), size=(b, m))
     probs[rejected_rows] = np.eye(width)[-1]  # every member puts all mass on the auxiliary slot
     return probs
 
 
+def _reference_evaluation(has_aux, probs, labels):
+    """(per_model, averaged, normalized, oracle error, top-1 error) as the
+    reduction-based post-processing and argmaxes give them."""
+    per_model, averaged, normalized = ref.evaluate_predictions(has_aux, probs)
+    oracle = 100.0 * float((per_model.argmax(axis=2) != labels[:, None]).all(axis=1).mean())
+    top1 = 100.0 * float((averaged.argmax(axis=1) != labels).mean())
+    return per_model, averaged, normalized, oracle, top1
+
+
+def _assert_evaluation_equal(pred, report, want):
+    got = (pred.per_model, pred.averaged, pred.normalized)
+    for g, w in zip(got, want[:3]):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+    assert (report.oracle_error, report.top1_error) == want[3:]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 9])
 @pytest.mark.parametrize("has_aux", [True, False])
-def test_evaluate_predictions_bit_identical(m, has_aux, caplog):
-    probs = _member_probs(40, m, 5, [3, 17] if has_aux else [], seed=m)
+def test_evaluate_predictions_bit_identical(m, has_aux, caplog, monkeypatch):
+    # evaluate_ensemble's chunk loop against the reference evaluate_predictions,
+    # on logits fed through in place of a forward: every member puts all mass
+    # on the auxiliary slot of rows 3 and 17 (exp(-1000) is exactly 0).
+    width = 5
+    logits = np.random.default_rng(m).normal(scale=3.0, size=(40, m, width))
+    if has_aux:
+        logits[[3, 17]] = 1000.0 * np.eye(width)[-1]
+    monkeypatch.setattr(
+        ensemble, "ensemble_forward",
+        lambda state, x, train_mode: ad.Tensor(np.ascontiguousarray(x.transpose(1, 0, 2))),
+    )
+    state = SimpleNamespace(has_aux=has_aux, n_classes=width - has_aux, members=[None] * m)
+    data = SimpleNamespace(features=logits, labels=np.random.default_rng(m + 1).integers(0, width - has_aux, 40))
     with caplog.at_level("WARNING"):
-        pred = evaluate_predictions(SimpleNamespace(has_aux=has_aux), probs)
-    want = ref.evaluate_predictions(has_aux, probs)
-    for got, expected in zip((pred.per_model, pred.averaged, pred.normalized), want):
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        pred, report = evaluate_ensemble(state, data, batch_size=16)
+    probs = ref.softmax(np.ascontiguousarray(logits.transpose(1, 0, 2))).transpose(1, 0, 2)
+    _assert_evaluation_equal(pred, report, _reference_evaluation(has_aux, probs, data.labels))
+    messages = [r.message for r in caplog.records]
     if has_aux:
         assert not pred.normalized[[3, 17]].any()
-        assert any("2 example(s) rejected by all members" in r.message for r in caplog.records)
+        assert messages == ["2 example(s) rejected by all members"]
     else:
-        assert not caplog.records
+        assert not messages
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 9])
@@ -110,6 +150,7 @@ def test_ensemble_average_bit_identical(m, normalize):
 
 CNN = ArchitectureSpec(kind="simple_cnn", input_shape=(1, 16, 16), n_classes=2)
 MLP = ArchitectureSpec(kind="mlp", input_shape=(8,), n_classes=3, hidden_sizes=(16, 16))
+MLP9 = ArchitectureSpec(kind="mlp", input_shape=(8,), n_classes=9, hidden_sizes=(16,))
 
 
 @pytest.mark.parametrize("arch,fusion,method", [
@@ -126,6 +167,29 @@ def test_member_probabilities_matches_concatenated_chunks(arch, fusion, method):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.flags.c_contiguous
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("arch,fusion,method,members", [
+    (MLP, "none", "amcl", 3), (MLP, "none", "amcl", 1), (MLP, "none", "ie", 3), (MLP, "none", "smcl", 1),
+    (MLP9, "none", "amcl", 3), (MLP9, "none", "cmcl", 3), (CNN, "none", "amcl", 3), (CNN, "module", "amcl", 3),
+])
+def test_evaluate_ensemble_bit_identical(arch, fusion, method, members):
+    # 11 examples at 4 a chunk: the last chunk is short. Only amcl has the
+    # auxiliary slot, as in training; MLP9's 9 or 10 slots take the pairwise
+    # class sum.
+    arch = replace(arch, aux_class=method == "amcl")
+    state = build_ensemble(
+        method=method, arch=arch, members=members, overlap_k=1, t_tau=2, beta=0.75,
+        gamma=0.75, p_share=0.5, fusion_mode=fusion, seed=8,
+    )
+    rng = np.random.default_rng(9)
+    data = SimpleNamespace(
+        features=rng.uniform(size=(11, *arch.input_shape)), labels=rng.integers(0, arch.n_classes, 11),
+    )
+    pred, report = evaluate_ensemble(state, data, batch_size=4)
+    assert pred.per_model.shape == (11, members, arch.n_classes)
+    probs = ref.member_probabilities(state, data.features, batch_size=4)
+    _assert_evaluation_equal(pred, report, _reference_evaluation(state.has_aux, probs, data.labels))
 
 
 @pytest.mark.parametrize("members", [2, 3, 9])

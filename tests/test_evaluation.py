@@ -1,4 +1,7 @@
 """Inference post-processing and metric computations."""
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mclkit.data import DatasetSpec, generate_blobs
-from mclkit.ensemble import build_ensemble
+from mclkit.ensemble import build_ensemble, member_probabilities
 from mclkit.errors import InputError, StateError, UnsupportedMethodError
 from mclkit.evaluation import (
     confidence_histogram,
@@ -189,6 +192,32 @@ def test_renormalize_rows_handles_zero_mass():
     rows = renormalize_rows(np.array([[0.0, 0.0], [0.2, 0.2]]))
     assert np.isfinite(rows).all()
     assert np.allclose(rows[1], [0.5, 0.5])
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_ensemble_builds_no_full_probability_array():
+    # Each chunk is finished in the loop, so beyond its two outputs the pass
+    # holds chunk-sized buffers only: no [N, M, width] probabilities, no
+    # stripped copy of them and no normalized average.
+    n, members, chunk = 4096, 3, 256
+    arch = ArchitectureSpec(kind="mlp", input_shape=(8,), n_classes=4, hidden_sizes=(4,))
+    state = build_ensemble(
+        method="amcl", arch=arch, members=members, overlap_k=1, t_tau=2,
+        beta=0.75, gamma=0.75, p_share=0.5, fusion_mode="none", seed=3,
+    )
+    data = SimpleNamespace(features=RNG.uniform(size=(n, 8)), labels=RNG.integers(0, 4, n))
+    outputs = (n * members * 4 + n * 4) * 8  # per_model and averaged
+    one_chunk = _peak_bytes(lambda: member_probabilities(state, data.features[:chunk], batch_size=chunk))
+    peak = _peak_bytes(lambda: evaluate_ensemble(state, data, batch_size=chunk))
+    assert peak < outputs + 2 * one_chunk
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ FINITE_CHECKS = True
 # mmap threshold rises and later ones grow the brk heap, whose freed pages stay
 # resident in a layout set by allocation order: peak RSS differed by tens of
 # MiB between runs. Pin the threshold; ``release_heap`` returns free pages.
+# glibc still serves a block of any size from a heap free chunk that fits it,
+# and the freed block stays resident, so the peak of an evaluation pass still
+# moved by 5 to 40 MiB with the heap layout that training and loading left
+# behind; an untracked ``conv2d`` therefore releases free pages first.
 MMAP_THRESHOLD = 8 << 20
 try:
     _libc = ctypes.CDLL(None)
@@ -432,6 +436,9 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     bit-identical to ``relu(conv2d(...))``, and the backward masks on
     ``out > 0``. With per-op checks on, the pre-activation is checked before
     relu, so a -inf that relu would zero still raises, naming ``conv2d``.
+    Under ``no_graph`` it first returns the heap's free pages
+    (``release_heap``), so the pages that earlier layers freed are not
+    resident under its patch matrix, the largest block of a forward.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride != 1:
@@ -452,6 +459,8 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     if bt is not None and bt.data.shape != (f,):
         raise ConfigurationError("conv2d bias must have one entry per filter")
 
+    if not _graph.recording:
+        release_heap()
     ph, pw = kh // 2, kw // 2
     if ph == pw == 0:  # a 1x1 kernel reads the input unpadded, as an NHWC view
         xp = x.data.transpose(0, 2, 3, 1)

@@ -216,6 +216,18 @@ def test_conv2d_computes_no_gradient_into_input_batches(x_op):
     np.testing.assert_allclose(b.grad, gb, **CONV_TOL)
 
 
+def test_untracked_conv2d_returns_free_heap_pages_before_its_patch_matrix(monkeypatch):
+    x_data, w, b, _ = _conv_case(1, 4, 6, 3)
+    calls = []
+    monkeypatch.setattr(ad, "_malloc_trim", calls.append)
+    recorded = ad.conv2d(x_data, w, b, relu=True)
+    assert calls == []
+    with ad.no_graph():
+        untracked = ad.conv2d(x_data, w, b, relu=True)
+    assert calls == [0]
+    assert np.array_equal(untracked.data, recorded.data)
+
+
 def test_requires_grad_only_off_for_constants_and_inputs():
     assert not ad.as_tensor(np.ones(2)).requires_grad
     assert not ad.Tensor(np.ones(2), op="input").requires_grad

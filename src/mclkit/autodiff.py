@@ -328,6 +328,9 @@ def log(a, lo=EPS_PROB, hi=None) -> Tensor:
 
 
 def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
+    """Sum over ``axis`` (every axis by default). The backward writes the
+    output gradient into a fresh full-shape array, as ``np.broadcast_to``
+    would give it, without that wrapper's Python-level cost."""
     a = as_tensor(a)
     in_shape = a.data.shape
     out = a.data.sum(axis=axis, keepdims=keepdims)
@@ -338,7 +341,9 @@ def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
     kept = tuple(1 if i in axes else s for i, s in enumerate(in_shape))  # the keepdims shape
 
     def back(g):
-        return (np.broadcast_to(g.reshape(kept), in_shape),)
+        full = np.empty(in_shape)
+        full[...] = g.reshape(kept)
+        return (full,)
 
     return _make(out, (a,), "sum", back)
 
@@ -743,17 +748,49 @@ def sgd_step(params, grads, cfg: SgdConfig, buffers=None):
 
 
 class SgdOptimizer:
-    """Holds momentum buffers for a fixed parameter list."""
+    """SGD with momentum over one packed parameter arena.
+
+    On construction the parameters' values are copied, in list order, into
+    one contiguous float64 vector, ``arena``, and each ``param.data`` is
+    rebound to its C-contiguous, same-shape view of that vector; a view
+    taken of a ``param.data`` before then no longer aliases the parameter.
+    ``grad`` is a vector of the same size, into which ``gather`` copies
+    every ``param.grad``. A step is one ``sgd_step`` over the whole arena:
+    elementwise the same update as one per tensor, so the same bits, with
+    its Python-level work paid once instead of once per tensor.
+    """
 
     def __init__(self, params, cfg: SgdConfig):
         self.params = list(params)
         self.cfg = cfg
-        self.buffers = [None] * len(self.params)
+        vector = np.empty(sum(p.data.size for p in self.params))
+        self.grad = np.empty_like(vector)
+        self._grad_views = []
+        start = 0
+        for p in self.params:
+            end = start + p.data.size
+            vector[start:end] = p.data.ravel()
+            p.data = vector[start:end].reshape(p.data.shape)
+            self._grad_views.append(self.grad[start:end].reshape(p.data.shape))
+            start = end
+        with _cleared("checking"):  # every value was checked as its parameter was made
+            self.arena = Tensor(vector, op="param")
+        self.buffers = [None]
 
-    def step(self):
-        self.buffers = sgd_step(
-            self.params, [p.grad for p in self.params], self.cfg, self.buffers
-        )
+    def gather(self) -> np.ndarray:
+        """Copy every parameter's gradient into ``grad``, and return it."""
+        for p, view in zip(self.params, self._grad_views):
+            if p.grad is None:
+                raise StateError("a parameter has no gradient; run backward first")
+            view[...] = p.grad
+        return self.grad
+
+    def step(self, grad=None):
+        """One SGD update of the arena from ``grad``, the vector ``gather``
+        returns; without it the gradients are gathered here."""
+        if grad is None:
+            grad = self.gather()
+        self.buffers = sgd_step([self.arena], [grad], self.cfg, self.buffers)
 
     def zero_grad(self):
         for p in self.params:

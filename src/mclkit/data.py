@@ -338,7 +338,11 @@ def _check_header(obj, schema: dict, path: str, prefix: str = "") -> None:
 
 
 def save_checkpoint(state, path: str) -> None:
-    """Write the ensemble to ``path`` atomically (temp file + rename)."""
+    """Write the ensemble to ``path`` atomically (temp file + rename). Each
+    member's tensors are read from its slot of the ensemble's [M, …] layers
+    as they are now."""
+    from .models import layer_shapes
+
     header = {
         "method": state.method,
         "members": len(state.members),
@@ -363,9 +367,10 @@ def save_checkpoint(state, path: str) -> None:
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
 
     tensors: list[tuple[str, np.ndarray]] = []
-    for m, member in enumerate(state.members):
-        for name, tensor in member.params.items():
-            tensors.append((f"member{m}/{name}", tensor.data))
+    shapes = layer_shapes(state.arch)
+    for m in range(len(state.members)):
+        for name, shape in shapes.items():
+            tensors.append((f"member{m}/{name}", state.layers[name].data[m].reshape(shape)))
     if state.fusion is not None:
         for name, tensor in state.fusion.params.items():
             tensors.append((f"fusion/{name}", tensor.data))

@@ -166,13 +166,20 @@ def cross_entropy_split(per_model_stripped: np.ndarray, labels, w: Specializatio
 
 
 def ood_score(state, inputs, batch_size: int = ensemble.EVAL_BATCH) -> np.ndarray:
-    """Mean auxiliary-class probability across members, one score per input."""
+    """Mean auxiliary-class probability across members, one score per input.
+
+    Streams ``ensemble.probability_chunks``: each chunk's auxiliary row is
+    added over members in index order and divided by M, as ``_member_mean``
+    does, and no [N, M, width] array is built.
+    """
     if not state.has_aux:
         raise UnsupportedMethodError(
             f"method {state.method!r} has no auxiliary slot; ood scores are undefined"
         )
-    probs = ensemble.member_probabilities(state, inputs, batch_size=batch_size)
-    return _member_mean(probs[:, :, -1:])[:, 0]
+    scores = np.empty(inputs.shape[0])
+    for start, probs in ensemble.probability_chunks(state, inputs, batch_size):
+        scores[start : start + probs.shape[2]] = _member_mean(probs[-1:])[0]
+    return scores
 
 
 def auxiliary_split_scores(probs_full: np.ndarray, labels, w: SpecializationMatrix):

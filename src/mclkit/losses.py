@@ -137,7 +137,7 @@ def assign_top_k(per_model_losses: np.ndarray, k: int) -> np.ndarray:
         raise ConfigurationError(f"K must satisfy 1 <= K <= M (got K={k}, M={m})")
     order = np.argsort(losses, axis=1, kind="stable")[:, :k]
     v = np.zeros_like(losses, dtype=np.int64)
-    np.put_along_axis(v, order, 1, axis=1)
+    v[np.arange(losses.shape[0])[:, None], order] = 1
     return v
 
 
@@ -156,18 +156,14 @@ def accumulate_counts(counter: AssignmentCounter, v: np.ndarray, class_indices) 
 def fix_specialization(counter: AssignmentCounter, k: int) -> SpecializationMatrix:
     """Top-K counts per class row, frozen into a binary flag matrix.
 
-    Ties break toward the smaller model index. An all-zero row still gets K
-    ones (indices 0..K-1) with a diagnostic, so downstream code always sees
+    The flags are ``assign_top_k`` of the negated counts (exact in float64),
+    so ties break toward the smaller model index. An all-zero row still gets
+    K ones (indices 0..K-1) with a diagnostic, so downstream code always sees
     exact row sums.
     """
     if counter.counts.sum() == 0 and counter.epochs_accumulated == 0:
         raise StateError("cannot fix specialization from an empty counter")
-    n_classes, m = counter.counts.shape
-    if not 1 <= k <= m:
-        raise ConfigurationError(f"K must satisfy 1 <= K <= M (got K={k}, M={m})")
-    order = np.argsort(-counter.counts, axis=1, kind="stable")[:, :k]
-    w = np.zeros((n_classes, m), dtype=np.int64)
-    np.put_along_axis(w, order, 1, axis=1)
+    w = assign_top_k(-counter.counts, k)
     zero_rows = np.flatnonzero(counter.counts.sum(axis=1) == 0)
     if zero_rows.size:
         log.warning(

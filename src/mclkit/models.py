@@ -129,15 +129,22 @@ class MemberModel:
     """Member ``member_index`` of an ensemble: a view of its slot in every layer.
 
     ``layers`` are the ensemble-owned [M, …] tensors, where gradients land.
-    ``params[name].data`` is a writable view of this member's slot.
+    ``params[name].data`` is a writable view of this member's slot, taken
+    from the layer's storage when ``params`` is read. It is never cached: the
+    optimizer rebinds every layer to its view of one packed vector, and a
+    view taken before that would no longer alias the layer.
     """
 
     def __init__(self, spec: ArchitectureSpec, layers: dict, member_index: int):
         self.spec, self.layers, self.member_index = spec, layers, member_index
-        self.params = {
-            name: ad.Tensor(layers[name].data[member_index].reshape(shape), op="param")
-            for name, shape in layer_shapes(spec).items()
-        }
+
+    @property
+    def params(self) -> dict:
+        with ad.deferred_checks():  # views of stored values; their consumers check them
+            return {
+                name: ad.Tensor(self.layers[name].data[self.member_index].reshape(shape), op="param")
+                for name, shape in layer_shapes(self.spec).items()
+            }
 
     def _slot(self, name: str) -> ad.Tensor:
         return ad.take(self.layers[name], self.member_index)

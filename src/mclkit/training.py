@@ -4,9 +4,11 @@ One coordinator owns the loop. Each step builds one graph for all members:
 the member-major [M, B, C] forward and its log-softmax, the objective's [M]
 per-member terms (``losses.*_loss_terms`` against the batch's class indices,
 which ``train`` checks once per dataset), one backward from their sum into
-the ensemble's [M, …] layers, and one in-place SGD update per layer. Steps
-run under ``autodiff.deferred_checks`` and are checked once; a failing one
-is replayed with per-op checks to name the op.
+the ensemble's [M, …] layers, and one in-place SGD update of the
+optimizer's packed parameter vector, which every layer is a view of. Steps
+run under ``autodiff.deferred_checks`` and are checked once (the terms, the
+logits and the gradient, gathered into one vector); a failing one is
+replayed with per-op checks to name the op.
 
 ``TrainConfig`` is the one source of training defaults; the CLI reads its
 own from it.
@@ -140,10 +142,11 @@ def _objective_terms(state, cfg, epoch, logp, y):
     return losses.amcl_objective_terms(epoch, logp, y, cfg.penalty, state.specialization)
 
 
-def _step(state, cfg, epoch, x, y, share_rng, held, deferred):
-    """Forward, objective, backward and finite checks of one batch, as arrays.
-    ``held`` keeps the last step's graph until this step's objective replaces
-    it: a graph freed at its step's end is faulted back in by the next step."""
+def _step(state, optimizer, cfg, epoch, x, y, share_rng, held, deferred):
+    """Forward, objective, backward and finite checks of one batch, as arrays:
+    the gathered gradient vector first. ``held`` keeps the last step's graph
+    until this step's objective replaces it: a graph freed at its step's end
+    is faulted back in by the next step."""
     with ad.deferred_checks(deferred):
         logits = ensemble_forward(state, x, train_mode=True, share_rng=share_rng)
         logp = ad.log_softmax(logits, axis=-1)
@@ -152,10 +155,9 @@ def _step(state, cfg, epoch, x, y, share_rng, held, deferred):
         ad.backward(terms.sum(), seed=1.0 / len(y))
     ad._check_finite(terms.data, "terms")
     ad._check_finite(logits.data, "logits")
-    for p in state.parameters():
-        if p.grad is not None:
-            ad._check_finite(p.grad, "gradient")
-    return logp.data, terms.data, v, phase
+    grad = optimizer.gather()
+    ad._check_finite(grad, "gradient")
+    return grad, logp.data, terms.data, v, phase
 
 
 def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
@@ -216,17 +218,17 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
                 rows = slice(start, start + cfg.batch_size)
                 idx = order[rows]
                 x, y = features[idx], labels[idx]
-                step = (state, cfg, epoch, x, y, share_rng, held)
+                step = (state, optimizer, cfg, epoch, x, y, share_rng, held)
                 rng_state = share_rng.bit_generator.state
                 try:
                     try:
-                        logp, terms, v, phase = _step(*step, deferred=True)
+                        grad, logp, terms, v, phase = _step(*step, deferred=True)
                     except NumericError:
                         optimizer.zero_grad()
                         share_rng.bit_generator.state = rng_state
                         _step(*step, deferred=False)
                         raise
-                    optimizer.step()
+                    optimizer.step(grad)
                     optimizer.zero_grad()
                 except NumericError as exc:
                     raise NumericError(

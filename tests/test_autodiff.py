@@ -969,6 +969,57 @@ def test_optimizer_updates_and_zeroes():
     assert p.grad is None
 
 
+def _arena_params():
+    """Parameters of several shapes and layouts: a transposed (F-ordered)
+    matrix, a 0-d scalar, a [M, 1, out] bias and a 4-D kernel."""
+    return [
+        ad.Tensor(RNG.normal(size=(4, 3)).T, op="param"),
+        ad.Tensor(RNG.normal(size=()), op="param"),
+        ad.Tensor(RNG.normal(size=(2, 1, 5)), op="param"),
+        ad.Tensor(RNG.normal(size=(3, 2, 3, 3)), op="param"),
+    ]
+
+
+def test_optimizer_packs_every_parameter_into_one_vector_unchanged():
+    params = _arena_params()
+    before = [(p.data.shape, p.data.tobytes()) for p in params]
+    opt = ad.SgdOptimizer(params, ad.SgdConfig())
+    vector = opt.arena.data
+    assert vector.ndim == 1 and vector.flags.c_contiguous
+    assert vector.size == opt.grad.size == sum(p.data.size for p in params)
+    start = 0
+    for p, (shape, raw) in zip(params, before):
+        assert p.data.shape == shape and p.data.tobytes() == raw
+        assert p.data.flags.c_contiguous and p.data.base is vector
+        assert np.shares_memory(p.data, vector[start : start + p.data.size])
+        start += p.data.size
+
+
+def test_optimizer_steps_match_a_per_tensor_sgd_step_byte_for_byte():
+    cfg = ad.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=5e-4)
+    packed = _arena_params()
+    reference = [ad.Tensor(p.data.copy(), op="param") for p in packed]
+    opt = ad.SgdOptimizer(packed, cfg)
+    buffers = None
+    for _ in range(3):
+        grads = [RNG.normal(size=p.data.shape) for p in reference]
+        for p, g in zip(packed, grads):
+            p.grad = g
+        opt.step(opt.gather())
+        opt.zero_grad()
+        buffers = ad.sgd_step(reference, grads, cfg, buffers)
+    for p, ref in zip(packed, reference):
+        assert p.data.tobytes() == ref.data.tobytes()
+
+
+def test_optimizer_gather_raises_on_a_missing_gradient():
+    p, q = ad.Tensor(np.ones(2), op="param"), ad.Tensor(np.ones(3), op="param")
+    opt = ad.SgdOptimizer([p, q], ad.SgdConfig())
+    p.grad = np.ones(2)
+    with pytest.raises(StateError):
+        opt.gather()
+
+
 def test_take_closure_gives_the_full_gradient_backward_writes():
     a = ad.Tensor(RNG.normal(size=(3, 2)), op="param")
     g = RNG.normal(size=2)

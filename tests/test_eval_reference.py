@@ -202,6 +202,21 @@ def test_ood_score_bit_identical(members):
     assert np.array_equal(ood_score(state, x, batch_size=5), ref.ood_score(state, x, batch_size=5))
 
 
+@pytest.mark.parametrize("arch", [MLP, CNN], ids=["mlp", "cnn"])
+def test_ood_score_streams_the_bits_of_the_full_probability_array(arch):
+    from mclkit.evaluation import _member_mean
+
+    state = build_ensemble(
+        method="amcl", arch=arch, members=3, overlap_k=1, t_tau=2, beta=0.75,
+        gamma=0.75, p_share=0.5, fusion_mode="none", seed=6,
+    )
+    x = np.random.default_rng(7).uniform(size=(13, *arch.input_shape))
+    for batch_size in (5, 13, 512):
+        full = member_probabilities(state, x, batch_size=batch_size)
+        want = _member_mean(full[:, :, -1:])[:, 0]
+        assert np.array_equal(ood_score(state, x, batch_size=batch_size), want)
+
+
 def _ops(root):
     return [node.op for node in ad.topo_order(root)]
 

@@ -282,6 +282,22 @@ def test_fix_specialization_matches_bruteforce_sort():
         assert np.array_equal(ls.fix_specialization(counter, k).w, w.w)
 
 
+def test_fix_specialization_flags_are_the_argsort_of_negated_counts():
+    # The flags as an argsort of the negated counts put along each row gave them.
+    rng = np.random.default_rng(29)
+    for m in (1, 2, 3, 5):
+        for _ in range(20):
+            counts = rng.integers(0, 4, size=(6, m))  # small counts: many ties
+            counts[rng.integers(0, 6)] = 0
+            counter = ls.AssignmentCounter(counts=counts, epochs_accumulated=1)
+            for k in range(1, m + 1):
+                order = np.argsort(-counts, axis=1, kind="stable")[:, :k]
+                expected = np.zeros((6, m), dtype=np.int64)
+                np.put_along_axis(expected, order, 1, axis=1)
+                w = ls.fix_specialization(counter, k).w
+                assert w.dtype == expected.dtype and np.array_equal(w, expected)
+
+
 def test_fix_specialization_zero_row_defaults_with_diagnostic(caplog):
     counter = ls.AssignmentCounter(
         counts=np.array([[0, 0, 0], [1, 5, 2]]), epochs_accumulated=1

@@ -246,6 +246,32 @@ def test_train_runs_are_byte_identical(arch, method, tmp_path):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("arch,fusion", [("mlp", "none"), ("cnn", "none"), ("cnn", "module")])
+def test_trained_and_reloaded_ensembles_give_the_same_probabilities(arch, fusion, tmp_path):
+    # Training updates the optimizer's packed vector; a checkpoint written
+    # from views taken before packing would hold the initial weights.
+    from mclkit.data import load_checkpoint, save_checkpoint
+    from mclkit.ensemble import member_probabilities
+
+    if arch == "mlp":
+        data, cfg = BLOBS, _mlp_cfg("amcl", epochs=2, t_tau=1, fusion=fusion)
+    else:
+        data, cfg = BARS, _mlp_cfg(
+            "amcl", epochs=2, t_tau=1, batch_size=8, conv_filters=(4, 6, 8), fusion=fusion
+        )
+    state, _ = train(data, cfg)
+    initial = build_ensemble(
+        method=cfg.method, arch=resolve_architecture(data, cfg), members=cfg.members,
+        overlap_k=cfg.overlap_k, t_tau=cfg.t_tau, beta=cfg.beta, gamma=cfg.gamma,
+        p_share=cfg.p_share, fusion_mode=fusion, seed=cfg.seed,
+    )
+    save_checkpoint(state, tmp_path / "ck.amc1")
+    loaded = load_checkpoint(tmp_path / "ck.amc1")
+    trained = member_probabilities(state, data.features, batch_size=16)
+    assert np.array_equal(member_probabilities(loaded, data.features, batch_size=16), trained)
+    assert not np.array_equal(member_probabilities(initial, data.features, batch_size=16), trained)
+
+
 def test_k_range_validated():
     with pytest.raises(ConfigurationError, match="K must satisfy"):
         TrainConfig(method="smcl", members=2, overlap_k=3)
@@ -343,14 +369,16 @@ def test_nonfinite_parameter_names_the_same_op_as_per_op_checks(
 
 
 @pytest.mark.parametrize("overlap_k", [1, 2])
-def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(overlap_k, monkeypatch):
+def test_one_mlp_step_makes_three_finite_checks_one_over_every_gradient(overlap_k, monkeypatch):
     import mclkit.training as training
 
     labels = []
+    sizes = {}
     check = ad._check_finite
 
     def counting(arr, op):
         labels.append(op)
+        sizes[op] = arr.size
         check(arr, op)
 
     built = training.build_ensemble
@@ -365,7 +393,9 @@ def test_one_mlp_step_makes_two_plus_one_per_parameter_finite_checks(overlap_k, 
     cfg = _mlp_cfg("amcl", members=3, overlap_k=overlap_k, epochs=1, t_tau=1, batch_size=len(BLOBS))
     state, _ = train(BLOBS, cfg)
     assert len(state.parameters()) == 6
-    assert sorted(labels) == sorted(["terms", "logits"] + ["gradient"] * 6)
+    assert labels == ["terms", "logits", "gradient"]
+    # The packed gradient: the elements the six per-parameter checks read, in one call.
+    assert sizes["gradient"] == sum(p.data.size for p in state.parameters())
 
 
 @pytest.mark.parametrize("available", [True, False])

@@ -17,13 +17,16 @@ results. Each layer is one node: ``dense`` (matmul, bias and relu) and
 numpy expressions in the same order as the chains of ops they stand for, so
 their values and gradients are bit-identical to those chains'; only the
 per-node graph overhead and the separate activation copies are saved. The
-objectives work on log-probabilities: ``log_softmax``, the class gather
-``nll`` and ``masked_sum`` are one node each. Desk-scale by design: no dtype
-zoo, no graph rewriting.
+objectives work on log-probabilities: ``log_softmax`` and the class gather
+``nll`` are one node each, and so is ``assigned_nll``, an objective's
+assigned cross-entropy plus its weighted penalty where unassigned, again
+bit-identical to the chain it stands for. Desk-scale by design: no dtype zoo,
+no graph rewriting.
 """
 from __future__ import annotations
 
 import ctypes
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -629,17 +632,61 @@ def nll(logp, index) -> Tensor:
     return _make_pruned(np.negative(logp.data[sel], order="C"), (logp,), "nll", (grad,))
 
 
-def masked_sum(a, mask) -> Tensor:
-    """Sums over the last axis of ``a`` times the constant ``mask``, as one
-    node whose value and gradient are those of ``sum(mul(a, mask), -1)``."""
-    a = as_tensor(a)
-    m = np.asarray(mask, dtype=np.float64)
-    masked = a.data * m
+def assigned_nll(logp, y, on, penalty=None, weight=0.0):
+    """Each member's assigned cross-entropy plus ``weight`` times a penalty
+    where unassigned, as one node; returns (terms [M], assignment [B, M]).
+
+    ``logp`` is member-major [M, B, C] and ``y`` the [B] class indices. ``on``
+    is the 0/1 assignment, or a function of the detached [M, B]
+    cross-entropies that gives it (a top-K assignment reads the values the
+    terms sum). ``penalty`` is None, ``"aux"`` (the last slot's -log p) or
+    ``"uniform"`` (-mean(log p) - log C). Forward and backward run the numpy
+    expressions of the chain ``nll``, masked sums, penalty, ``mul`` and
+    ``add`` in its order, so terms and gradients are bit-identical to it; the
+    backward adds the cross-entropy and penalty gradients as two arrays, as
+    ``backward`` sums two contributions (one buffer could flip signed zeros).
+    """
+    logp = as_tensor(logp)
+    lp = logp.data
+    y = np.asarray(y)
+    if lp.ndim != 3 or y.shape != lp.shape[1:2]:
+        raise ConfigurationError(f"assigned_nll: class indices {y.shape} do not fit {lp.shape}")
+    if penalty not in (None, "aux", "uniform"):
+        raise ConfigurationError(f"unknown penalty {penalty!r}")
+    m, b, c = lp.shape
+    sel = (..., np.arange(b), y)
+    # C order: the gather lays its result out row-major over B, and the bits
+    # of the sum over B depend on the layout.
+    ces = np.negative(lp[sel], order="C")
+    on = np.asarray(on(ces) if callable(on) else on)
+    if on.shape != (b, m):
+        raise ConfigurationError(f"assigned_nll: assignment {on.shape} is not [B, M] = {(b, m)}")
+    on_t = np.ascontiguousarray(on.T, dtype=np.float64)
+    terms = (ces * on_t).sum(axis=-1)
+    off_t = None
+    if penalty is not None and weight:
+        off_t = np.ascontiguousarray((1 - on).T, dtype=np.float64)
+        if penalty == "aux":
+            pen = np.negative(lp[..., c - 1], order="C")
+        else:
+            pen = lp.sum(axis=-1) * (-1.0 / c) + (-math.log(c))
+        terms = terms + (pen * off_t).sum(axis=-1) * weight
 
     def grad(g):
-        return _unbroadcast(g[..., None] * m, a.data.shape)
+        full = np.zeros_like(lp)
+        full[sel] = -(g[..., None] * on_t)
+        if off_t is None:
+            return full
+        g_pen = (g * weight)[..., None] * off_t
+        if penalty == "aux":
+            pen_full = np.zeros_like(lp)
+            pen_full[..., c - 1] = -g_pen
+        else:
+            pen_full = np.empty(lp.shape)
+            pen_full[...] = (g_pen * (-1.0 / c))[..., None]
+        return full + pen_full
 
-    return _make_pruned(masked.sum(axis=-1), (a,), "masked_sum", (grad,))
+    return _make_pruned(terms, (logp,), "assigned_nll", (grad,)), on
 
 
 # ---------------------------------------------------------------------------

@@ -115,20 +115,6 @@ def _normalized(averaged: np.ndarray) -> tuple:
     return out, int(rejected.sum())
 
 
-def oracle_error(per_model_argmax: np.ndarray, labels) -> float:
-    """Percent of examples that every member misclassifies."""
-    preds = np.asarray(per_model_argmax)
-    labels = np.asarray(labels)
-    all_wrong = (preds != labels[:, None]).all(axis=1)
-    return 100.0 * float(all_wrong.mean())
-
-
-def top1_error(averaged: np.ndarray, labels) -> float:
-    """Percent misclassification of the averaged-probability argmax."""
-    preds = np.asarray(averaged).argmax(axis=1)
-    return 100.0 * float((preds != np.asarray(labels)).mean())
-
-
 def confidence_histogram(normalized: np.ndarray, labels, class_index: int, bins: int = HISTOGRAM_BINS):
     """Histogram of the probability assigned to ``class_index`` over the test
     examples of that class; ``bins`` uniform bins on [0, 1]."""

@@ -9,15 +9,16 @@ Each objective has one form, ``*_loss_terms``: it takes the member-major
 log-probabilities [M, B, C] as one Tensor (ie takes the [M, B]
 cross-entropies of ``member_cross_entropies``) and the [B] class indices,
 and returns one term per member [M], plus the [B, M] assignment it used. The
-batch loss is ``terms.sum()``. Every term is computed in log space: the
-cross-entropy and the auxiliary term gather one log-probability
-(``autodiff.nll``), and the confident variant's uniform term is
--mean(log p) - log C, so no probability is clamped or logged.
+batch loss is ``terms.sum()``. Every term is computed in log space, so no
+probability is clamped or logged: the cross-entropy and the auxiliary term
+gather one log-probability, and the confident variant's uniform term is
+-mean(log p) - log C. The smcl, cmcl and amcl objectives are one
+``autodiff.assigned_nll`` node each (assigned cross-entropy plus the weighted
+penalty where unassigned); ie sums ``autodiff.nll``'s cross-entropies.
 """
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,31 +36,9 @@ def _as_member_logp(logp: ad.Tensor) -> ad.Tensor:
     return logp
 
 
-def _aux_ce(logp: ad.Tensor) -> ad.Tensor:
-    """-log p_aux per member and example; the KL(aux one-hot || p) penalty term."""
-    return ad.nll(logp, logp.shape[-1] - 1)
-
-
-def _kl_uniform(logp: ad.Tensor) -> ad.Tensor:
-    """KL(uniform || p) per member and example: -mean(log p) - log C."""
-    c = logp.shape[-1]
-    return ad.add(ad.mul(logp.sum(axis=-1), -1.0 / c), -math.log(c))
-
-
-def _masked_sums(values: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
-    """Per-member sums [M] of [M, B] ``values`` over the examples a [B, M] mask selects."""
-    return ad.masked_sum(values, np.ascontiguousarray(mask.T, dtype=np.float64))
-
-
-def _penalized(logp: ad.Tensor, ces: ad.Tensor, on: np.ndarray, penalty, weight: float) -> ad.Tensor:
-    """Assigned cross-entropy plus ``weight`` times ``penalty(logp)`` where unassigned.
-
-    ``on`` is the [B, M] assignment; the result holds one term per member.
-    """
-    terms = _masked_sums(ces, on)
-    if weight:
-        terms = ad.add(terms, ad.mul(_masked_sums(penalty(logp), 1 - on), weight))
-    return terms
+def _top_k(k: int):
+    """The top-K [B, M] assignment of detached member-major cross-entropies [M, B]."""
+    return lambda ces: assign_top_k(ces.T, k)
 
 
 def member_cross_entropies(logp, y) -> ad.Tensor:
@@ -189,21 +168,13 @@ def ie_loss_terms(per_model_losses: ad.Tensor) -> ad.Tensor:
     return per_model_losses.sum(axis=1)
 
 
-def _top_k_ces(logp, y, k: int):
-    """Member-major cross-entropies [M, B] and the top-K [B, M] assignment
-    their detached values select."""
-    ces = ad.nll(_as_member_logp(logp), y)
-    return ces, assign_top_k(ces.data.T, k)
-
-
 def smcl_loss_terms(logp, y, k: int):
     """Top-K assigned cross-entropy terms [M] and the [B, M] assignment.
 
     At K=1 the terms sum to the oracle loss: each example's smallest
     cross-entropy across members.
     """
-    ces, v = _top_k_ces(logp, y, k)
-    return _masked_sums(ces, v), v
+    return ad.assigned_nll(_as_member_logp(logp), y, _top_k(k))
 
 
 def lba_loss_terms(logp, y, cfg: PenaltyConfig):
@@ -212,17 +183,14 @@ def lba_loss_terms(logp, y, cfg: PenaltyConfig):
     The assignment itself is derived from the detached cross-entropy values
     (hard top-K, no gradient through the selection).
     """
-    ces, v = _top_k_ces(logp, y, cfg.k)
-    return _penalized(logp, ces, v, _aux_ce, cfg.beta), v
+    return ad.assigned_nll(_as_member_logp(logp), y, _top_k(cfg.k), "aux", cfg.beta)
 
 
 def mba_loss_terms(logp, y, w: SpecializationMatrix, cfg: PenaltyConfig):
     """Memory-based assignment: flags come from the frozen matrix, not losses."""
     if not isinstance(w, SpecializationMatrix) or not w.frozen:
         raise StateError("memory-based assignment requires a frozen specialization matrix")
-    flags = w.rows_for(y)
-    ces = ad.nll(_as_member_logp(logp), y)
-    return _penalized(logp, ces, flags, _aux_ce, cfg.gamma), flags
+    return ad.assigned_nll(_as_member_logp(logp), y, w.rows_for(y), "aux", cfg.gamma)
 
 
 def cmcl_loss_terms(logp, y, cfg: PenaltyConfig):
@@ -232,8 +200,7 @@ def cmcl_loss_terms(logp, y, cfg: PenaltyConfig):
     Heads carry no auxiliary slot here; log-probabilities are of plain class
     distributions.
     """
-    ces, v = _top_k_ces(logp, y, cfg.k)
-    return _penalized(logp, ces, v, _kl_uniform, cfg.beta), v
+    return ad.assigned_nll(_as_member_logp(logp), y, _top_k(cfg.k), "uniform", cfg.beta)
 
 
 def amcl_objective_terms(

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import mclkit.autodiff as ad
-import mclkit.losses as ls
 from mclkit.errors import ConfigurationError, NumericError, StateError
 
 import conv_reference
+import objective_reference
 from gradcheck import check_tensor_grad, numeric_grad, assert_grads_close
 
 RNG = np.random.default_rng(20240811)
@@ -42,7 +42,7 @@ def _ce(logits, y):
 
 def _kl_uniform(logits):
     """KL(uniform || softmax(logits)), the confident objective's penalty."""
-    return float(ls._kl_uniform(ad.log_softmax(ad.Tensor(logits))))
+    return float(objective_reference._kl_uniform(ad.log_softmax(ad.Tensor(logits))))
 
 
 def test_cross_entropy_perfect_prediction():
@@ -553,26 +553,79 @@ def test_kl_uniform_to_is_bit_identical_to_log_mean_neg_add():
     # the confident objective's uniform term, against the composition it names
     rng = np.random.default_rng(7)
     logp = ad.log_softmax(ad.Tensor(rng.normal(scale=30.0, size=(3, 16, 5)))).data
+    y = rng.integers(0, 5, 16)
 
     def composed(logp):
         mean_neglog = ad.neg(ad.tensor_mean(logp, axis=-1))  # 1/5 is inexact, so the order shows
-        return ad.add(mean_neglog, -math.log(5))
+        return ad.tensor_sum(ad.add(mean_neglog, -math.log(5)), axis=-1)
 
-    runs = _fused_and_composed(ls._kl_uniform, composed, [logp], rng.normal(size=(3, 16)))
-    _assert_bit_identical(runs)
-
-
-def test_masked_sum_is_bit_identical_to_mul_sum():
-    rng = np.random.default_rng(8)
-    values = rng.exponential(size=(3, 32))
-    mask = (rng.random((3, 32)) < 0.4).astype(np.float64)
     runs = _fused_and_composed(
-        lambda v: ad.masked_sum(v, mask),
-        lambda v: ad.mul(v, mask).sum(axis=1),
-        [values],
+        # No member assigned anywhere: each term is its member's whole penalty.
+        lambda logp: ad.assigned_nll(logp, y, np.zeros((16, 3)), "uniform", 1.0)[0],
+        composed,
+        [logp],
         rng.normal(size=3),
     )
     _assert_bit_identical(runs)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.75])
+@pytest.mark.parametrize("penalty", [None, "aux", "uniform"])
+def test_assigned_nll_is_bit_identical_to_nll_mul_sum_chain(penalty, weight):
+    # The chain the op replaces: masked sums of the class gather and of the
+    # penalty, the penalty's scaled by the weight and added.
+    rng = np.random.default_rng(list(f"{penalty}{weight}".encode()))
+    logp = ad.log_softmax(ad.Tensor(rng.normal(scale=30.0, size=(3, 32, 5)))).data
+    y = rng.integers(0, 4, 32)
+    on = (rng.random((32, 3)) < 0.4).astype(np.int64)
+    on_t = np.ascontiguousarray(on.T, dtype=np.float64)
+    off_t = np.ascontiguousarray((1 - on).T, dtype=np.float64)
+
+    def composed(logp):
+        terms = ad.mul(ad.nll(logp, y), on_t).sum(axis=1)
+        if penalty is None or not weight:
+            return terms
+        if penalty == "aux":
+            pen = ad.nll(logp, 4)
+        else:
+            pen = ad.add(ad.mul(logp.sum(axis=-1), -1.0 / 5), -math.log(5))
+        return ad.add(terms, ad.mul(ad.mul(pen, off_t).sum(axis=1), weight))
+
+    runs = _fused_and_composed(
+        lambda logp: ad.assigned_nll(logp, y, on, penalty, weight)[0],
+        composed,
+        [logp],
+        rng.normal(size=3),
+    )
+    _assert_bit_identical(runs)
+
+
+@pytest.mark.parametrize(
+    "y,on,penalty",
+    [
+        (np.zeros(3, dtype=np.int64), np.ones((2, 1)), None),
+        (np.zeros(2, dtype=np.int64), np.ones((1, 2)), None),
+        (np.zeros(2, dtype=np.int64), np.ones((2, 1)), "kl"),
+    ],
+    ids=["labels", "assignment", "penalty"],
+)
+def test_assigned_nll_rejects_what_does_not_fit(y, on, penalty):
+    with pytest.raises(ConfigurationError):
+        ad.assigned_nll(np.zeros((1, 2, 3)), y, on, penalty, 1.0)
+
+
+@pytest.mark.parametrize("assigned", [1, 0])
+def test_assigned_nll_names_itself_on_a_picked_minus_infinity(assigned):
+    # An assigned -inf gives an infinite term; an unassigned one 0 * inf.
+    with ad.deferred_checks():
+        logp = ad.Tensor([[[-np.inf, 0.0], [math.log(0.5), math.log(0.5)]]], op="param")
+    on = np.array([[assigned], [1]])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericError, match="op 'assigned_nll'"):
+            ad.assigned_nll(logp, [0, 0], on)
+        with ad.deferred_checks():
+            terms, _ = ad.assigned_nll(logp, [0, 0], on)
+    assert not np.isfinite(terms.data).any()
 
 
 def test_dense_checks_its_pre_activation_before_relu():
@@ -827,11 +880,14 @@ def _fd_case(name):
     if name == "kl_uniform_to":
         logp = ad.Tensor(rng.normal(size=(3, 4)), op="param")
         probe = rng.normal(size=3)
-        return lambda: ad.mul(ls._kl_uniform(logp), probe).sum(), [logp]
-    if name == "masked_sum":
-        v = ad.Tensor(rng.normal(size=(2, 5)), op="param")
-        mask = np.array([[1.0, 0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0]])
-        return lambda: ad.mul(ad.masked_sum(v, mask), np.array([1.5, -0.5])).sum(), [v]
+        return lambda: ad.mul(objective_reference._kl_uniform(logp), probe).sum(), [logp]
+    if name in ("assigned_nll", "assigned_nll_uniform"):
+        logp = ad.Tensor(rng.normal(size=(2, 5, 4)), op="param")
+        on = np.array([[1, 0], [0, 1], [1, 1], [1, 0], [0, 0]])
+        penalty = "aux" if name == "assigned_nll" else "uniform"
+        probe = np.array([1.5, -0.5])
+        terms = lambda: ad.assigned_nll(logp, [0, 2, 1, 2, 0], on, penalty, 0.75)[0]
+        return lambda: ad.mul(terms(), probe).sum(), [logp]
     if name == "stack":
         a = ad.Tensor(rng.normal(size=(2, 3)), op="param")
         b = ad.Tensor(rng.normal(size=(2, 3)), op="param")
@@ -858,7 +914,7 @@ def _fd_case(name):
         return lambda: ad.mul(ad.nll(ad.log_softmax(ad.stack([a, b])), [1, 1, 2]), probe).sum(), [a, b]
     if name == "kl_uniform":
         x = ad.Tensor(rng.normal(size=(3, 4)), op="param")
-        return lambda: ls._kl_uniform(ad.log_softmax(x)).sum(), [x]
+        return lambda: objective_reference._kl_uniform(ad.log_softmax(x)).sum(), [x]
     raise AssertionError(name)
 
 
@@ -885,7 +941,8 @@ def rng2_const(x):
         "dense_shared_operand",
         "nll",
         "kl_uniform_to",
-        "masked_sum",
+        "assigned_nll",
+        "assigned_nll_uniform",
         "stack",
         "take",
         "mean",

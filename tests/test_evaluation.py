@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mclkit.ensemble as ensemble
 from mclkit.data import DatasetSpec, generate_blobs
 from mclkit.ensemble import build_ensemble, member_probabilities
 from mclkit.errors import InputError, StateError, UnsupportedMethodError
@@ -17,11 +18,9 @@ from mclkit.evaluation import (
     ensemble_average,
     evaluate_ensemble,
     ood_score,
-    oracle_error,
     purity_flow,
     renormalize_rows,
     strip_auxiliary,
-    top1_error,
 )
 from mclkit.losses import SpecializationMatrix
 from mclkit.models import ArchitectureSpec
@@ -80,6 +79,32 @@ def test_argmax_invariant_under_normalization(stripped):
 # ---------------------------------------------------------------------------
 # error rates
 # ---------------------------------------------------------------------------
+
+def _report(probs, labels):
+    """``evaluate_ensemble``'s report over given class-major probabilities [C, M, N]."""
+    labels = np.asarray(labels)
+    classes, members, n = probs.shape
+    state = SimpleNamespace(members=[None] * members, n_classes=classes)
+    dataset = SimpleNamespace(labels=labels, features=np.zeros((n, 1)))
+    original = ensemble.probability_chunks
+    ensemble.probability_chunks = lambda *args: iter([(0, probs)])
+    try:
+        return evaluate_ensemble(state, dataset)[1]
+    finally:
+        ensemble.probability_chunks = original
+
+
+def oracle_error(per_model_argmax, labels) -> float:
+    """The oracle error of members that put all their mass on their predictions [N, M]."""
+    preds = np.asarray(per_model_argmax)
+    classes = int(max(preds.max(), np.max(labels))) + 1
+    return _report(np.eye(classes)[preds].transpose(2, 1, 0), labels).oracle_error
+
+
+def top1_error(averaged, labels) -> float:
+    """The top-1 error of one member whose probabilities are ``averaged`` [N, C]."""
+    return _report(np.asarray(averaged, dtype=np.float64).T[:, None, :].copy(), labels).top1_error
+
 
 def test_oracle_error_zero_when_any_model_right():
     preds = np.array([[0, 1], [1, 0]])

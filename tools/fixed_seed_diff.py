@@ -2,9 +2,9 @@
 
     python3 tools/fixed_seed_diff.py --a ../parent --b .
 
-Each checkout's ``src/mclkit`` runs the same 14 configurations through
-``mclkit train`` and ``mclkit eval``: MLP M=3 ie/smcl/cmcl/amcl, smcl and
-amcl with K=2, amcl with fusion module and share; CNN M=2 ie/smcl/cmcl/amcl,
+Each checkout's ``src/mclkit`` runs the same 15 configurations through
+``mclkit train`` and ``mclkit eval``: MLP M=3 ie/smcl/cmcl/amcl, smcl, cmcl
+and amcl with K=2, amcl with fusion module and share; CNN M=2 ie/smcl/cmcl/amcl,
 amcl with fusion module and share. Each runs with one BLAS thread. Every
 file the two checkouts write is compared byte for byte: ``train_log.csv``,
 ``purity_flow.csv``, ``summary.csv``, ``config.txt``, every checkpoint (the
@@ -47,6 +47,7 @@ EVERY_EPOCH = ["--checkpoint-every", "1"]
 CONFIGS = {
     **{f"mlp-{m}": (MLP + ["--method", m], MLP_TEST, MLP_OOD) for m in ("ie", "smcl", "cmcl", "amcl")},
     "mlp-smcl-k2": (MLP + ["--method", "smcl", "--overlap", "2"], MLP_TEST, MLP_OOD),
+    "mlp-cmcl-k2": (MLP + ["--method", "cmcl", "--overlap", "2"], MLP_TEST, MLP_OOD),
     "mlp-amcl-k2": (MLP + ["--method", "amcl", "--overlap", "2"], MLP_TEST, MLP_OOD),
     "mlp-amcl-module": (MLP + ["--method", "amcl", "--fusion", "module"] + EVERY_EPOCH, MLP_TEST, MLP_OOD),
     "mlp-amcl-share": (MLP + ["--method", "amcl", "--fusion", "share"] + EVERY_EPOCH, MLP_TEST, MLP_OOD),

@@ -10,9 +10,11 @@ gradient: ops record such operands as no parent where they can, and
 ``no_graph()`` ops record nothing, so a forward whose gradient nobody reads
 keeps no activations alive; inside ``deferred_checks()`` they check no
 finiteness. Ensemble members share one graph through a leading member axis:
-parameters are stored [M, …], ``matmul`` and ``dense`` take [M, n, k]
-operands, ``take`` reads one member's slot and ``stack`` joins per-member
-results. Each layer is one node: ``dense`` (matmul, bias and relu) and
+parameters are stored [M, …]; ``matmul``, ``dense`` and ``conv2d`` take
+[M, …] operands over a shared or member-major input, ``maxpool2x2`` pools
+any leading shape, ``concat_members``, ``add_members`` and
+``permute_members`` move features between members, and ``stack`` joins
+per-member results. Each layer is one node: ``dense`` (matmul, bias and relu) and
 ``conv2d`` (convolution, bias and relu) run, forward and backward, the same
 numpy expressions in the same order as the chains of ops they stand for, so
 their values and gradients are bit-identical to those chains'; only the
@@ -106,6 +108,11 @@ def no_graph():
     drops it. Nests, and restores the previous state on exit or error.
     """
     return _cleared("recording")
+
+
+def recording() -> bool:
+    """Whether ops on this thread record a graph: false inside ``no_graph``."""
+    return _graph.recording
 
 
 def deferred_checks(active: bool = True):
@@ -231,6 +238,25 @@ def add(a, b) -> Tensor:
     ))
 
 
+def add_members(members, shared) -> Tensor:
+    """``shared + members``, [B, …] broadcast over member-major [M, B, …], as
+    one node, bit-identical to the M per-member ``add`` nodes it stands for:
+    the shared gradient sums the members last to first, as ``backward`` summed
+    those nodes, and keeps their memory layout (a later reduction's bits, such
+    as a gate's spatial mean, depend on it)."""
+    members, shared = as_tensor(members), as_tensor(shared)
+    if members.data.shape[1:] != shared.data.shape:
+        raise ConfigurationError(f"add_members: {shared.data.shape} does not fit {members.data.shape}")
+
+    def shared_grad(g):
+        total = g[-1].copy(order="K")
+        for part in g[-2::-1]:
+            total += part
+        return total
+
+    return _make_pruned(shared.data + members.data, (members, shared), "add_members", (lambda g: g, shared_grad))
+
+
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _make_pruned(a.data - b.data, (a, b), "sub", (
@@ -279,12 +305,14 @@ def _affine(a, b, bias, relu: bool, op: str) -> Tensor:
     if bias is not None:
         bias = as_tensor(bias)
         bshape = bias.data.shape
+        # A [M, out] bias is one row per member of an [M, n, out] product.
+        bdata = bias.data[:, None] if out.ndim == 3 and bias.data.ndim == 2 else bias.data
         try:
-            out += bias.data
+            out += bdata
         except ValueError as exc:
             raise ConfigurationError(f"{op} bias {bshape} does not fit {out.shape}") from exc
         inputs.append(bias)
-        grad_fns.append(lambda g: _unbroadcast(g, bshape))
+        grad_fns.append(lambda g: _unbroadcast(g, bdata.shape).reshape(bshape))
     if not relu:
         return _make_pruned(out, inputs, op, grad_fns)
     _relu_in_place(out, op)
@@ -383,21 +411,6 @@ def concat(tensors, axis=0) -> Tensor:
     return _make_pruned(out, ts, "concat", [part(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
 
 
-def take(a, m: int) -> Tensor:
-    """Slot ``m`` of the leading (member) axis, as a view; zero gradient elsewhere.
-    Not finite-checked: a stored slot that is not finite is named by its consumer."""
-    a = as_tensor(a)
-
-    def back(g):
-        full = np.zeros_like(a.data)
-        full[m] = g
-        return (full,)
-
-    back.slot = m  # ``backward`` writes the slot itself
-    with _cleared("checking"):
-        return _make(a.data[m], (a,), "take", back)
-
-
 def stack(tensors) -> Tensor:
     """Equally shaped tensors joined along a new leading (member) axis."""
     ts = [as_tensor(t) for t in tensors]
@@ -408,6 +421,31 @@ def stack(tensors) -> Tensor:
         raise ConfigurationError(f"stack shapes differ: {sorted(shapes)}")
     grad_fns = [lambda g, i=i: g[i] for i in range(len(ts))]
     return _make_pruned(np.stack([t.data for t in ts]), ts, "stack", grad_fns)
+
+
+def concat_members(a) -> Tensor:
+    """[M, B, C, …] -> [B, M*C, …], the values of ``concat(list(a), axis=1)``,
+    as one node; a view of conv2d's NHWC buffer over a shared input."""
+    a = as_tensor(a)
+    if a.ndim < 3:
+        raise ConfigurationError("concat_members expects member-major [M, B, C, …] input")
+    m, b, c, *rest = a.data.shape
+    out = np.moveaxis(a.data, 0, 1).reshape(b, m * c, *rest)
+    return _make_pruned(out, (a,), "concat_members", (lambda g: np.moveaxis(g.reshape(b, m, c, *rest), 1, 0),))
+
+
+def permute_members(a, perms) -> Tensor:
+    """``out[d, b] = a[perms[b, d], b]`` for member-major ``a`` [M, B, …] and
+    one permutation of range(M) per example in ``perms`` [B, M]; exact both
+    ways, the backward scattering with the inverse permutations."""
+    a = as_tensor(a)
+    perms = np.asarray(perms)
+    m, bsz = a.data.shape[:2]
+    if perms.shape != (bsz, m) or not (np.sort(perms, axis=1) == np.arange(m)).all():
+        raise ConfigurationError(f"permute_members needs one permutation of {m} members per example")
+    rows = np.arange(bsz)
+    inverse = np.argsort(perms, axis=1)
+    return _make_pruned(a.data[perms.T, rows], (a,), "permute_members", (lambda g: g[inverse.T, rows],))
 
 
 # ---------------------------------------------------------------------------
@@ -429,122 +467,151 @@ def dense(x, w, b=None, relu=False) -> Tensor:
 
 def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     """2-D convolution, NCHW layout, stride 1 and zero 'same' padding only,
-    then relu if ``relu``, as one graph node.
+    then relu if ``relu``, as one graph node, over a leading member axis.
 
-    ``x`` is [B, C, H, W]; ``w`` is [F, C, kh, kw] with odd kernel extents.
-    Computed as im2col + one GEMM (Chellapilla et al. 2006): the input is
-    padded once into an NHWC buffer whose kh*kw shifted windows form the
-    [B*H*W, kh*kw*C] patch matrix. The op keeps the padded input, not the
-    patch matrix, and backward rebuilds the matrix from it (a 1x1 kernel pads
-    nothing and keeps a view of the input). An input that
-    needs no gradient (a constant or input batch) is not recorded as a
-    parent, and no input gradient is computed for it. The output is an NCHW
-    view of the NHWC GEMM output. As in ``dense``, the bias is added and
-    relu applied in place on that fresh output, so values and gradients are
-    bit-identical to ``relu(conv2d(...))``, and the backward masks on
-    ``out > 0``. With per-op checks on, the pre-activation is checked before
-    relu, so a -inf that relu would zero still raises, naming ``conv2d``.
-    Under ``no_graph`` it first returns the heap's free pages
-    (``release_heap``), so the pages that earlier layers freed are not
-    resident under its patch matrix, the largest block of a forward.
+    ``w`` is [M, F, C, kh, kw] (odd extents) and ``b`` [M, F]; ``x`` is a
+    shared [B, C, H, W] or a member-major [M, B, C, H, W]; the output is
+    [M, B, F, H, W]. A [F, C, kh, kw] kernel is the M=1 case, [B, C, H, W] to
+    [B, F, H, W]. im2col + GEMM (Chellapilla et al. 2006): the input is padded
+    once into an NHWC buffer whose shifted windows form the [B*H*W, kh*kw*C]
+    patch matrix, rebuilt by backward from the padded input (a 1x1 kernel reads
+    the input as a view). A shared input is one GEMM against the members'
+    filters side by side, [kh*kw*C, M*F]; a member-major one a batched GEMM.
+    Each member's share gave the bits of its own 2-D GEMM, forward and
+    backward, on the BLAS measured (not a guarantee: ``tools/fixed_seed_diff.py``
+    checks it). The output is a member-major NCHW view of the NHWC GEMM output,
+    bias and relu applied in place, so values and gradients are bit-identical
+    to ``relu(conv2d(...))``; with per-op checks on, the pre-activation is
+    checked first, naming ``conv2d``. A constant or input batch gets no
+    gradient; a shared input's is the members' summed in member order. Under
+    ``no_graph`` it first returns the heap's free pages (``release_heap``), so
+    earlier layers' freed pages are not resident under its patch matrix.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride != 1:
         raise ConfigurationError("conv2d supports stride 1 only")
     if padding != "same":
         raise ConfigurationError("conv2d supports 'same' padding only")
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ConfigurationError("conv2d expects 4-D input and kernel")
-    bsz, cin, h, wd = x.data.shape
-    f, cker, kh, kw = w.data.shape
+    one, shared = w.data.ndim == 4, x.data.ndim == 4  # one member's kernel; a shared input
+    wm, xm = (w.data[None] if one else w.data), (x.data[None] if shared else x.data)
+    if wm.ndim != 5 or xm.ndim != 5 or (one and not shared):
+        raise ConfigurationError("conv2d expects [B, C, H, W] or [M, B, C, H, W] input and "
+                                 "[F, C, kh, kw] or [M, F, C, kh, kw] kernel (4-D takes 4-D)")
+    m, f, cker, kh, kw = wm.shape
+    mx, bsz, cin, h, wd = xm.shape
     if cker != cin:
-        raise ConfigurationError(
-            f"conv2d channel mismatch: input has {cin}, kernel expects {cker}"
-        )
+        raise ConfigurationError(f"conv2d channel mismatch: input has {cin}, kernel expects {cker}")
+    if not shared and mx != m:
+        raise ConfigurationError(f"conv2d member mismatch: input has {mx}, kernel {m}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ConfigurationError("conv2d 'same' padding requires odd kernel extents")
     bt = as_tensor(b) if b is not None else None
-    if bt is not None and bt.data.shape != (f,):
+    if bt is not None and bt.data.shape != w.data.shape[:-3]:
         raise ConfigurationError("conv2d bias must have one entry per filter")
 
     if not _graph.recording:
         release_heap()
     ph, pw = kh // 2, kw // 2
+    k = kh * kw * cin
     if ph == pw == 0:  # a 1x1 kernel reads the input unpadded, as an NHWC view
-        xp = x.data.transpose(0, 2, 3, 1)
+        xp = xm.transpose(0, 1, 3, 4, 2)
     else:
-        xp = np.zeros((bsz, h + 2 * ph, wd + 2 * pw, cin))
-        xp[:, ph : ph + h, pw : pw + wd] = x.data.transpose(0, 2, 3, 1)
-    wmat = w.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, f)
-    nhwc = (_im2col(xp, kh, kw) @ wmat).reshape(bsz, h, wd, f)
+        xp = np.zeros((mx, bsz, h + 2 * ph, wd + 2 * pw, cin))
+        xp[:, :, ph : ph + h, pw : pw + wd] = xm.transpose(0, 1, 3, 4, 2)
+    if shared:  # the members' filters side by side: member m's at columns m*F.. of one GEMM
+        wmat = wm.transpose(3, 4, 2, 0, 1).reshape(k, m * f)
+        out = (_im2col(xp[0], kh, kw) @ wmat).reshape(bsz, h, wd, m, f).transpose(3, 0, 1, 2, 4)
+    else:
+        wmat = wm.transpose(0, 3, 4, 2, 1).reshape(m, k, f)
+        out = (_im2col(xp, kh, kw) @ wmat).reshape(m, bsz, h, wd, f)
     if bt is not None:
-        nhwc += bt.data
+        out += bt.data.reshape(m, 1, 1, 1, f)
     if relu:
-        _relu_in_place(nhwc, "conv2d")
+        _relu_in_place(out, "conv2d")
 
     need_gx = x.requires_grad
-    parents = (w,) if bt is None else (w, bt)
-    if need_gx:
-        parents = (x,) + parents
+    parents = ((x,) if need_gx else ()) + ((w,) if bt is None else (w, bt))
 
     def back(g):
-        g2 = g.transpose(0, 2, 3, 1)
+        g2 = (g[None] if one else g).transpose(0, 1, 3, 4, 2)  # [M, B, H, W, F]
         if relu:
-            g2 = g2 * (nhwc > 0)
-        g2 = g2.reshape(-1, f)
-        gw = _im2col(xp, kh, kw).T @ g2
-        grads = [gw.reshape(kh, kw, cin, f).transpose(3, 2, 0, 1)]
+            g2 = g2 * (out > 0)
+        if shared:
+            g2 = g2.transpose(1, 2, 3, 0, 4).reshape(-1, m * f)  # [B*H*W, M*F], as the GEMM's output
+            gw = (_im2col(xp[0], kh, kw).T @ g2).reshape(kh, kw, cin, m, f).transpose(3, 4, 2, 0, 1)
+            gb = g2.sum(axis=0).reshape(m, f)
+            g2 = g2.reshape(-1, m, f).transpose(1, 0, 2)
+            wt = wmat.reshape(k, m, f).transpose(1, 2, 0)
+        else:
+            g2 = g2.reshape(m, -1, f)
+            gw = (_im2col(xp, kh, kw).swapaxes(1, 2) @ g2).reshape(m, kh, kw, cin, f)
+            gw = gw.transpose(0, 4, 3, 1, 2)
+            gb = g2.sum(axis=1)
+            wt = wmat.swapaxes(1, 2)
+        grads = [gw[0] if one else gw]
         if bt is not None:
-            grads.append(g2.sum(axis=0))
+            grads.append(gb[0] if one else gb)
         if need_gx:
-            gcols = (g2 @ wmat.T).reshape(bsz, h, wd, kh, kw, cin)
-            gxp = np.zeros_like(xp)
+            gcols = (g2 @ wt).reshape(m, bsz, h, wd, kh, kw, cin)
+            gxp = np.zeros((m, bsz, h + 2 * ph, wd + 2 * pw, cin))
             for u in range(kh):
                 for v in range(kw):
-                    gxp[:, u : u + h, v : v + wd] += gcols[:, :, :, u, v]
-            grads.insert(0, gxp[:, ph : ph + h, pw : pw + wd].transpose(0, 3, 1, 2))
+                    gxp[:, :, u : u + h, v : v + wd] += gcols[:, :, :, :, u, v]
+            gx = gxp[:, :, ph : ph + h, pw : pw + wd].transpose(0, 1, 4, 2, 3)
+            if shared:
+                gx = gx[0] if one else gx.sum(axis=0)
+            grads.insert(0, gx)
         return tuple(grads)
 
-    return _make(nhwc.transpose(0, 3, 1, 2), parents, "conv2d", back)
+    nchw = out.transpose(0, 1, 4, 2, 3)
+    return _make(nchw[0] if one else nchw, parents, "conv2d", back)
+
+
+# ``conv2d`` under a name ``perfbench/tracer.py`` does not wrap: it reads 4-D
+# shapes from ``conv2d``'s arguments (ROADMAP item 1), so [M, …] kernels come here.
+conv2d_members = conv2d
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Patch matrix [B*h*w, kh*kw*C] of a padded NHWC buffer, (u, v, c) columns.
+    """Patch matrix [..., B*h*w, kh*kw*C] of padded NHWC buffers [..., B, H, W, C],
+    (u, v, c) columns.
 
     One copy of the kh*kw shifted windows, each row made of contiguous
     channel runs; a 1x1 kernel needs no copy at all.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * xp.shape[3])
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-3, -2))
+    return np.moveaxis(windows, -3, -1).reshape(*xp.shape[:-4], -1, kh * kw * xp.shape[-1])
 
 
 def maxpool2x2(x) -> Tensor:
-    """2x2 max pooling with stride 2; ties route the gradient to the first max.
+    """2x2 max pooling with stride 2 over the last two axes, whatever leads
+    them ([B, C, H, W], or member-major [M, B, C, H, W]); ties route the
+    gradient to the first max.
 
     The forward is an elementwise maximum of the four stride-2 slices. The
     backward gives each window's gradient to the first of its slices, in the
     order (0,0), (0,1), (1,0), (1,1), that holds the window's maximum.
     """
     x = as_tensor(x)
-    if x.data.ndim != 4:
-        raise ConfigurationError("maxpool2x2 expects a 4-D input")
-    _, _, h, w = x.data.shape
+    if x.data.ndim < 3:
+        raise ConfigurationError("maxpool2x2 expects a batch of [C, H, W] maps")
+    h, w = x.data.shape[-2:]
     if h % 2 or w % 2:
         raise ConfigurationError("maxpool2x2 requires even spatial extents")
     xd = x.data
     out = np.maximum(
-        np.maximum(xd[:, :, 0::2, 0::2], xd[:, :, 0::2, 1::2]),
-        np.maximum(xd[:, :, 1::2, 0::2], xd[:, :, 1::2, 1::2]),
+        np.maximum(xd[..., 0::2, 0::2], xd[..., 0::2, 1::2]),
+        np.maximum(xd[..., 1::2, 0::2], xd[..., 1::2, 1::2]),
     )
 
     def back(g):
         gx = np.zeros_like(xd)
         free = np.ones(out.shape, dtype=bool)
         for i, j in ((0, 0), (0, 1), (1, 0)):
-            hit = free & (xd[:, :, i::2, j::2] == out)
-            gx[:, :, i::2, j::2] = np.where(hit, g, 0.0)
+            hit = free & (xd[..., i::2, j::2] == out)
+            gx[..., i::2, j::2] = np.where(hit, g, 0.0)
             free &= ~hit
-        gx[:, :, 1::2, 1::2] = np.where(free, g, 0.0)
+        gx[..., 1::2, 1::2] = np.where(free, g, 0.0)
         return (gx,)
 
     return _make(out, (x,), "maxpool2x2", back)
@@ -725,7 +792,6 @@ def backward(loss: Tensor, seed=1.0) -> None:
     start = np.full_like(loss.data, float(seed))
     order = topo_order(loss)
     local: dict[int, np.ndarray] = {id(loss): start}
-    owned: set[int] = set()  # parents whose local sum this pass allocated
     for node in reversed(order):
         g = local.pop(id(node), None)
         if g is None:
@@ -733,23 +799,13 @@ def backward(loss: Tensor, seed=1.0) -> None:
         node.grad = g if node.grad is None else node.grad + g
         if node._backward is None:
             continue
-        # ``take`` hands over its slot, written into one zero buffer per
-        # parent, rather than a full-shape array per member to be summed.
-        slot = getattr(node._backward, "slot", None)
-        contribs = node._backward(g) if slot is None else (g,)
-        for parent, contrib in zip(node.parents, contribs):
+        for parent, contrib in zip(node.parents, node._backward(g)):
             if not parent.requires_grad:
                 continue
             if _graph.checking:
                 _check_finite(contrib, f"{node.op}.backward")
-            pid, prev = id(parent), local.get(id(parent))
-            if slot is None:
-                local[pid] = contrib if prev is None else prev + contrib
-                continue
-            if pid not in owned:
-                prev = local[pid] = np.zeros_like(parent.data) if prev is None else prev.copy()
-                owned.add(pid)
-            prev[slot] += contrib
+            prev = local.get(id(parent))
+            local[id(parent)] = contrib if prev is None else prev + contrib
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Ensemble state: the member-axis layers and their member views, optional
-fusion, and assignment memory."""
+"""Ensemble state: the member-axis layers and their one-member evaluation
+views, optional fusion, and assignment memory."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -10,7 +10,7 @@ from . import autodiff as ad
 from .errors import ConfigurationError, NumericError
 from .fusion import FusionModule, feature_share
 from .losses import AssignmentCounter, SpecializationMatrix
-from .models import ArchitectureSpec, MemberModel, init_member, mlp_layers, stack_layers
+from .models import ArchitectureSpec, MemberModel, init_member, stack_layers, trunk_from_tap, trunk_to_tap
 
 METHODS = ("ie", "smcl", "cmcl", "amcl")
 FUSION_MODES = ("none", "module", "share")
@@ -19,7 +19,8 @@ EVAL_BATCH = 512  # examples per evaluation forward
 
 @dataclass
 class EnsembleState:
-    """``layers`` maps each layer to its [M, …] parameter tensor; ``members`` view its slots."""
+    """``layers`` maps each layer to its [M, …] parameter tensor; ``members``
+    are the one-member evaluation views of its slots."""
 
     method: str
     layers: dict
@@ -99,39 +100,34 @@ def build_ensemble(
 def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rng=None) -> ad.Tensor:
     """Forward every member; returns member-major logits [M, B, C].
 
-    MLP members run together, one member-axis ``dense`` node per layer. CNN
-    conv trunks run per member on its slots of the layers, and their logits
-    are stacked. When nothing mixes features (no fusion stage, or feature
-    sharing at inference: it shuffles only during training), each CNN
-    member runs from input to logits before the next starts, so under
-    ``no_graph`` one member's trunk is in memory at a time. Fusion needs all
-    member taps before any member continues, so with a mixing stage the taps
-    are taken per member and routed through it. Each tap and feature is
-    dropped once it has been consumed.
+    One body over the ensemble's [M, …] layers: the trunk to the tap, the
+    mixing stage (the fusion module, or feature sharing, which shuffles only
+    during training), then the trunk from the tap. Under ``no_graph`` a CNN
+    runs its trunk one member at a time, on its ``MemberModel`` view, so one
+    member's trunk is in memory at a time: the whole trunk when nothing
+    mixes features, the part after the tap when something does. Then each
+    member's features are copied out of the member-major tensor, which is
+    freed before the first member continues, and each copy is freed once
+    its member has pooled it.
     """
     x = ad.as_tensor(x)
-    mlp = state.arch.kind == "mlp"
+    arch, layer = state.arch, state.layers.__getitem__
     mixes = state.fusion_mode == "module" or (state.fusion_mode == "share" and train_mode)
-    if not mixes:
-        if mlp:
-            state.members[0]._check_batch(x)
-            return mlp_layers(state.arch, state.layers.__getitem__, x, 1)
+    per_member = arch.kind == "simple_cnn" and not ad.recording()
+    if per_member and not mixes:
         return ad.stack([m.forward_from_tap(m.forward_to_tap(x)) for m in state.members])
-    taps = [member.forward_to_tap(x) for member in state.members]
+    feats = trunk_to_tap(arch, layer, x)
     if state.fusion_mode == "module":
-        feats = state.fusion.member_features(taps)
-    else:
+        feats = state.fusion.member_features(feats)
+    elif mixes:
         if share_rng is None:
             raise ConfigurationError("feature sharing needs a seeded generator")
-        feats = feature_share(taps, p_share=state.p_share, rng=share_rng)
-    del taps
-    if mlp:
-        return mlp_layers(state.arch, state.layers.__getitem__, ad.stack(feats), 2)
-    logits = []
-    for m, member in enumerate(state.members):
-        logits.append(member.forward_from_tap(feats[m]))
-        feats[m] = None  # under no_graph nothing else holds it
-    return ad.stack(logits)
+        feats = feature_share(feats, p_share=state.p_share, rng=share_rng)
+    if not per_member:
+        return trunk_from_tap(arch, layer, feats)
+    parts = [f.copy(order="K") for f in reversed(feats.data)]
+    del feats
+    return ad.stack([member.forward_from_tap(parts.pop()) for member in state.members])
 
 
 def _class_major_softmax(logits: np.ndarray) -> np.ndarray:

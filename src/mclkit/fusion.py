@@ -1,8 +1,9 @@
 """Cross-member feature combination at the tap point.
 
-Two schemes live here: the trainable fusion module (concat -> 1x1 projection
--> channel gate, shared across the ensemble) and the stochastic feature
-sharing baseline that permutes member features per example.
+Two schemes live here: the trainable fusion module (channel concat -> 1x1
+projection -> channel gate, shared across the ensemble) and the stochastic
+feature sharing baseline that permutes member features per example. Both
+take and return member-major features [M, B, …], one tensor for all members.
 """
 from __future__ import annotations
 
@@ -52,30 +53,29 @@ class FusionModule:
     def parameters(self) -> list:
         return list(self.params.values())
 
-    def _check_taps(self, taps) -> None:
-        if len(taps) != self.members:
+    def _check_taps(self, taps: ad.Tensor) -> None:
+        if taps.ndim != len(self.tap_shape) + 2 or taps.shape[0] != self.members:
             raise ConfigurationError(
-                f"expected {self.members} tap tensors, got {len(taps)}"
+                f"expected member-major taps [{self.members}, B, …], got {tuple(taps.shape)}"
             )
-        shapes = {tuple(t.shape) for t in taps}
-        if len(shapes) != 1:
-            raise ConfigurationError(f"tap shapes differ: {sorted(shapes)}")
-        shape = shapes.pop()
-        if tuple(shape[1:]) != self.tap_shape:
+        if tuple(taps.shape[2:]) != self.tap_shape:
             raise ConfigurationError(
-                f"tap shape {tuple(shape[1:])} does not match module shape {self.tap_shape}"
+                f"tap shape {tuple(taps.shape[2:])} does not match module shape {self.tap_shape}"
             )
 
     def fuse(self, taps) -> ad.Tensor:
-        """Combine all taps into the single shared feature tensor."""
-        taps = [ad.as_tensor(t) for t in taps]
+        """Combine the member-major taps [M, B, …] into the single shared
+        feature tensor [B, …]. The projection reads the taps' channel
+        concatenation [B, M*C, …], which for conv2d's member-axis output over
+        a shared input is a view of its NHWC buffer."""
+        taps = ad.as_tensor(taps)
         self._check_taps(taps)
-        cat = ad.concat(taps, axis=1)
+        cat = ad.concat_members(taps)
         if self.spatial:
             z = ad.conv2d(cat, self.params["proj.w"], self.params["proj.b"])
         else:
             z = ad.dense(cat, self.params["proj.w"], self.params["proj.b"])
-        del cat  # under no_graph this frees the concatenated taps before the gate
+        del cat  # under no_graph this frees a copied concatenation before the gate
         squeeze = z.mean(axis=(2, 3)) if self.spatial else z
         gate = ad.sigmoid(
             ad.dense(
@@ -88,48 +88,45 @@ class FusionModule:
             gate = gate.reshape(-1, self.channels, 1, 1)
         return ad.mul(z, gate)
 
-    def inject(self, fused: ad.Tensor, own_tap) -> ad.Tensor:
-        """Feature a member continues from: shared fused + own tap."""
-        return ad.add(fused, ad.as_tensor(own_tap))
+    def inject(self, fused: ad.Tensor, taps) -> ad.Tensor:
+        """Features the members continue from: the shared fused tensor plus
+        each member's own tap, as one broadcast add over the member axis."""
+        return ad.add_members(taps, fused)
 
-    def member_features(self, taps) -> list:
-        """fuse + inject for every member in one call."""
-        taps = [ad.as_tensor(t) for t in taps]
+    def member_features(self, taps) -> ad.Tensor:
+        """fuse + inject: member-major taps [M, B, …] to features [M, B, …].
+        Under ``no_graph`` the inject adds into the taps' own buffer and
+        returns them, so a caller hands its taps over: one buffer of every
+        member's features fewer at the peak."""
+        taps = ad.as_tensor(taps)
         fused = self.fuse(taps)
-        return [self.inject(fused, t) for t in taps]
+        if ad.recording():
+            return self.inject(fused, taps)
+        np.add(fused.data, taps.data, out=taps.data)  # the bits of inject's shared + members
+        return taps
 
 
 def feature_share(taps, p_share: float, rng, return_mask: bool = False):
     """Per example, permute member features uniformly with probability p_share.
 
-    The permutation may be the identity; the multiset of member features is
-    preserved exactly per example. ``rng`` is an int seed or a Generator.
+    ``taps`` is member-major [M, B, …], and so is the result: one gather node
+    (``permute_members``), whose backward scatters with the inverse
+    permutations. The permutation may be the identity; the multiset of member
+    features is preserved exactly per example. ``rng`` is an int seed or a
+    Generator.
     """
     if not 0.0 <= p_share <= 1.0:
         raise ConfigurationError("p_share must lie in [0, 1]")
-    taps = [ad.as_tensor(t) for t in taps]
-    shapes = {tuple(t.shape) for t in taps}
-    if len(shapes) != 1:
-        raise ConfigurationError(f"tap shapes differ: {sorted(shapes)}")
+    taps = ad.as_tensor(taps)
+    if taps.ndim < 2:
+        raise ConfigurationError(f"feature_share expects member-major [M, B, …] taps, got {taps.shape}")
     rng = np.random.default_rng(rng)
-    m = len(taps)
-    bsz = taps[0].shape[0]
+    m, bsz = taps.shape[:2]
     perms = np.tile(np.arange(m), (bsz, 1))
     shared = rng.random(bsz) < p_share
     for b in np.flatnonzero(shared):
         perms[b] = rng.permutation(m)
-
-    trailing = (1,) * (taps[0].ndim - 1)
-    out = []
-    for dest in range(m):
-        acc = None
-        for src in range(m):
-            mask = (perms[:, dest] == src).astype(np.float64)
-            if not mask.any():
-                continue
-            term = ad.mul(taps[src], mask.reshape(bsz, *trailing))
-            acc = term if acc is None else ad.add(acc, term)
-        out.append(acc)
+    out = ad.permute_members(taps, perms)
     if return_mask:
         return out, shared
     return out

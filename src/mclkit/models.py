@@ -7,9 +7,11 @@ combine them across members.
 
 The ensemble owns each layer's weight and bias as one ``param`` tensor with
 a leading member axis [M, …] (the BatchEnsemble layout, Wen et al. 2020).
-MLP layers run every member in one member-axis ``dense`` node; a
-``MemberModel`` is a view of one member, whose CNN trunk reads its slots
-through ``take``.
+Both trunks run every member as one tensor: ``trunk_to_tap`` and
+``trunk_from_tap`` take a ``param(name)`` lookup, and run one member-axis
+node per layer over the ensemble's layers. A ``MemberModel`` is the
+one-member evaluation view: it runs the same two functions on one member's
+slices, read as values.
 """
 from __future__ import annotations
 
@@ -125,14 +127,57 @@ def stack_layers(spec: ArchitectureSpec, members: list) -> dict:
     return layers
 
 
-class MemberModel:
-    """Member ``member_index`` of an ensemble: a view of its slot in every layer.
+def _check_batch(spec: ArchitectureSpec, x: ad.Tensor) -> None:
+    if spec.kind == "simple_cnn":
+        if x.ndim != 4 or tuple(x.shape[1:]) != tuple(spec.input_shape):
+            raise ConfigurationError(
+                f"batch shape {tuple(x.shape)} does not match input {spec.input_shape}"
+            )
+    else:
+        flat = math.prod(x.shape[1:])
+        if flat != spec.flat_input_dim:
+            raise ConfigurationError(
+                f"batch of {flat} features does not match input {spec.input_shape}"
+            )
 
-    ``layers`` are the ensemble-owned [M, …] tensors, where gradients land.
-    ``params[name].data`` is a writable view of this member's slot, taken
-    from the layer's storage when ``params`` is read. It is never cached: the
-    optimizer rebinds every layer to its view of one packed vector, and a
-    view taken before that would no longer alias the layer.
+
+def trunk_to_tap(spec: ArchitectureSpec, param, x) -> ad.Tensor:
+    """Tap features of the input batch (conv1, or dense1): ``param(name)``'s
+    [M, …] layers give member-major [M, B, …] taps, one member's [B, …]."""
+    x = ad.as_tensor(x)
+    _check_batch(spec, x)
+    if spec.kind == "simple_cnn":
+        return _conv_relu(x, param, 1)
+    return mlp_layers(spec, param, x, 1, 1)
+
+
+def trunk_from_tap(spec: ArchitectureSpec, param, tap) -> ad.Tensor:
+    """Logits from the taps, ``param`` as in ``trunk_to_tap``. A CNN drops the
+    tap once pooled, so under ``no_graph`` one only the call held is freed."""
+    if spec.kind != "simple_cnn":
+        return mlp_layers(spec, param, tap, 2)
+    h = ad.maxpool2x2(tap)
+    del tap
+    for i in (2, 3):
+        h = ad.maxpool2x2(_conv_relu(h, param, i))
+    h = ad.reshape(h, (*h.shape[:-3], -1))
+    return ad.dense(h, param("fc.w"), param("fc.b"))
+
+
+def _conv_relu(h, param, i: int) -> ad.Tensor:
+    w = param(f"conv{i}.w")
+    conv = ad.conv2d if w.ndim == 4 else ad.conv2d_members  # one op; see conv2d_members
+    return conv(h, w, param(f"conv{i}.b"), relu=True)
+
+
+class MemberModel:
+    """Member ``member_index`` of an ensemble, as a one-member evaluation view.
+
+    ``forward_to_tap``/``forward_from_tap`` run the trunk functions on this
+    member's slices of the ensemble's [M, …] ``layers``, read as values (no
+    gradient reaches the layers): [B, …] in, [B, …] out. ``params[name].data``
+    is a writable view of its slot. Nothing is cached: the optimizer rebinds
+    every layer to a view of one packed vector.
     """
 
     def __init__(self, spec: ArchitectureSpec, layers: dict, member_index: int):
@@ -146,49 +191,23 @@ class MemberModel:
                 for name, shape in layer_shapes(self.spec).items()
             }
 
-    def _slot(self, name: str) -> ad.Tensor:
-        return ad.take(self.layers[name], self.member_index)
-
-    # -- forward ---------------------------------------------------------
-    def _check_batch(self, x: ad.Tensor) -> None:
-        if self.spec.kind == "simple_cnn":
-            if x.ndim != 4 or tuple(x.shape[1:]) != tuple(self.spec.input_shape):
-                raise ConfigurationError(
-                    f"batch shape {tuple(x.shape)} does not match input {self.spec.input_shape}"
-                )
-        else:
-            flat = math.prod(x.shape[1:])
-            if flat != self.spec.flat_input_dim:
-                raise ConfigurationError(
-                    f"batch of {flat} features does not match input {self.spec.input_shape}"
-                )
+    def _value(self, name: str) -> ad.Tensor:
+        with ad.deferred_checks():  # stored values; their consumers check them
+            return ad.Tensor(self.layers[name].data[self.member_index], op="const")
 
     def forward_to_tap(self, x) -> ad.Tensor:
-        x = ad.as_tensor(x)
-        self._check_batch(x)
-        if self.spec.kind == "simple_cnn":
-            return ad.conv2d(x, self._slot("conv1.w"), self._slot("conv1.b"), relu=True)
-        return mlp_layers(self.spec, self._slot, x, 1, 1)
+        return trunk_to_tap(self.spec, self._value, x)
 
     def forward_from_tap(self, tap) -> ad.Tensor:
-        """Logits from the tap. A CNN drops its reference to the tap once it
-        is pooled, so under ``no_graph`` a tap that only the call held is
-        freed before the next layer runs."""
         tap = ad.as_tensor(tap)
         expected = self.spec.tap_shape
         if tuple(tap.shape[1:]) != tuple(expected):
             raise ConfigurationError(
                 f"tap feature shape {tuple(tap.shape[1:])} does not match {expected}"
             )
-        p = self._slot
-        if self.spec.kind == "simple_cnn":
-            h = ad.maxpool2x2(tap)
-            del tap
-            h = ad.maxpool2x2(ad.conv2d(h, p("conv2.w"), p("conv2.b"), relu=True))
-            h = ad.maxpool2x2(ad.conv2d(h, p("conv3.w"), p("conv3.b"), relu=True))
-            h = ad.reshape(h, (h.shape[0], -1))
-            return ad.dense(h, p("fc.w"), p("fc.b"))
-        return mlp_layers(self.spec, p, tap, 2)
+        held = [tap]  # hand the only reference on, so trunk_from_tap can free the tap
+        del tap
+        return trunk_from_tap(self.spec, self._value, held.pop())
 
 
 def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor:

@@ -228,6 +228,100 @@ def test_untracked_conv2d_returns_free_heap_pages_before_its_patch_matrix(monkey
     assert np.array_equal(untracked.data, recorded.data)
 
 
+# Member-axis conv2d: each member's share of the one GEMM is its own 4-D call's.
+def _per_member_conv(x, w, b, relu, probe, shared):
+    """Outputs and (x, w, b) gradients of one 4-D conv2d call per member; a
+    shared input's gradient is the members' summed in member order."""
+    outs, grads = [], []
+    for m in range(w.shape[0]):
+        leaves = [ad.Tensor(a.copy(), op="param") for a in ((x if shared else x[m]), w[m], b[m])]
+        out = ad.conv2d(*leaves, relu=relu)
+        ad.mul(out, probe[m].copy()).sum().backward()
+        outs.append(out.data)
+        grads.append([t.grad for t in leaves])
+    gx = [g[0] for g in grads]
+    if shared:
+        total = gx[0].copy()
+        for part in gx[1:]:
+            total += part
+        gx = total
+    return np.stack(outs), gx if shared else np.stack(gx), [np.stack([g[i] for g in grads]) for i in (1, 2)]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("layout", ["shared", "member_major"])
+def test_member_axis_conv2d_slices_equal_per_member_conv2d_bitwise(layout, relu, k):
+    rng = np.random.default_rng(list(f"{layout}{relu}{k}".encode()))
+    m, shared = 3, layout == "shared"
+    x = rng.normal(size=(5, 4, 6, 6) if shared else (m, 5, 4, 6, 6))
+    w, b = rng.normal(size=(m, 7, 4, k, k)), rng.normal(size=(m, 7))
+    probe = rng.normal(size=(m, 5, 7, 6, 6))
+    leaves = [ad.Tensor(a.copy(), op="param") for a in (x, w, b)]
+    out = ad.conv2d(*leaves, relu=relu)
+    ad.mul(out, probe).sum().backward()
+    ref_out, ref_gx, (ref_gw, ref_gb) = _per_member_conv(x, w, b, relu, probe, shared)
+    assert relu is False or 0 < np.count_nonzero(out.data) < out.data.size
+    assert out.shape == (m, 5, 7, 6, 6)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(leaves[0].grad, ref_gx)
+    assert np.array_equal(leaves[1].grad, ref_gw)
+    assert np.array_equal(leaves[2].grad, ref_gb)
+
+
+def test_member_axis_conv2d_over_a_shared_input_is_one_nhwc_buffer():
+    # The members' filters run side by side: the output is an NCHW view of
+    # one [B, H, W, M*F] buffer, whose channel concatenation is a view too.
+    x = ad.Tensor(RNG.normal(size=(2, 1, 4, 4)), op="input")
+    out = ad.conv2d(x, ad.Tensor(RNG.normal(size=(3, 5, 1, 3, 3))), ad.Tensor(RNG.normal(size=(3, 5))))
+    cat = ad.concat_members(out)
+    assert cat.data.base is out.data.base and cat.data.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert np.array_equal(cat.data, ad.concat(list(out.data), axis=1).data)
+
+
+def test_member_axis_conv2d_rejects_what_does_not_fit():
+    x5 = ad.Tensor(RNG.normal(size=(2, 1, 2, 4, 4)))
+    with pytest.raises(ConfigurationError):  # two members' inputs, three members' kernels
+        ad.conv2d(x5, ad.Tensor(RNG.normal(size=(3, 3, 2, 3, 3))))
+    with pytest.raises(ConfigurationError):  # a member-major input needs member-axis kernels
+        ad.conv2d(x5, ad.Tensor(RNG.normal(size=(3, 2, 3, 3))))
+    with pytest.raises(ConfigurationError):  # one bias row per member
+        ad.conv2d(x5, ad.Tensor(RNG.normal(size=(2, 3, 2, 3, 3))), ad.Tensor(RNG.normal(size=3)))
+
+
+def test_member_axis_maxpool_slices_equal_per_member_maxpool_bitwise():
+    x = np.round(RNG.normal(size=(3, 2, 4, 6, 4)), 1)  # rounded: ties to route
+    probe = RNG.normal(size=(3, 2, 4, 3, 2))
+    t = ad.Tensor(x, op="param")
+    out = ad.maxpool2x2(t)
+    ad.mul(out, probe).sum().backward()
+    for m in range(3):
+        tm = ad.Tensor(x[m].copy(), op="param")
+        om = ad.maxpool2x2(tm)
+        ad.mul(om, probe[m].copy()).sum().backward()
+        assert np.array_equal(out.data[m], om.data)
+        assert np.array_equal(t.grad[m], tm.grad)
+
+
+def test_concat_members_and_add_members_are_bit_identical_to_per_member_chains():
+    # fusion's features: concat of the members' taps, and shared + own tap per member
+    m, rng = 3, np.random.default_rng(3)
+    taps, shared = rng.normal(size=(m, 4, 2, 3, 3)), rng.normal(size=(4, 2, 3, 3))
+    probe_cat, probe = rng.normal(size=(4, 2 * m, 3, 3)), rng.normal(size=(m, 4, 2, 3, 3))
+    t, s = ad.Tensor(taps.copy(), op="param"), ad.Tensor(shared.copy(), op="param")
+    loss = ad.add(ad.mul(ad.concat_members(t), probe_cat).sum(),
+                  ad.mul(ad.add_members(t, s), probe).sum())
+    loss.backward()
+    ts, s2 = [ad.Tensor(a.copy(), op="param") for a in taps], ad.Tensor(shared.copy(), op="param")
+    feats = ad.stack([ad.add(s2, tm) for tm in ts])
+    ref = ad.add(ad.mul(ad.concat(ts, axis=1), probe_cat).sum(), ad.mul(feats, probe).sum())
+    ref.backward()
+    assert np.array_equal(ad.add_members(t, s).data, feats.data)
+    assert np.array_equal(ad.concat_members(t).data, ad.concat(ts, axis=1).data)
+    assert np.array_equal(t.grad, np.stack([tm.grad for tm in ts]))
+    assert np.array_equal(s.grad, s2.grad)
+
+
 def test_requires_grad_only_off_for_constants_and_inputs():
     assert not ad.as_tensor(np.ones(2)).requires_grad
     assert not ad.Tensor(np.ones(2), op="input").requires_grad
@@ -893,10 +987,31 @@ def _fd_case(name):
         b = ad.Tensor(rng.normal(size=(2, 3)), op="param")
         probe = rng.normal(size=(2, 2, 3))
         return lambda: ad.mul(ad.stack([a, b]), probe).sum(), [a, b]
-    if name == "take":
-        a = ad.Tensor(rng.normal(size=(3, 2, 4)), op="param")
-        probe = rng.normal(size=(2, 4))
-        return lambda: ad.add(ad.mul(ad.take(a, 0), probe), ad.mul(ad.take(a, 2), -2.0 * probe)).sum(), [a]
+    if name == "conv2d_members":  # member-major input, [M, F, C, kh, kw] kernels, relu
+        x = ad.Tensor(rng.normal(size=(2, 2, 2, 4, 4)), op="param")
+        w = ad.Tensor(rng.normal(size=(2, 3, 2, 3, 3)), op="param")
+        b = ad.Tensor(rng.normal(size=(2, 3)), op="param")
+        probe = rng.normal(size=(2, 2, 3, 4, 4))
+        return lambda: ad.mul(ad.conv2d(x, w, b, relu=True), probe).sum(), [x, w, b]
+    if name == "conv2d_members_shared":  # one input shared by the members' filters
+        x = ad.Tensor(rng.normal(size=(2, 2, 4, 4)), op="param")
+        w = ad.Tensor(rng.normal(size=(3, 2, 2, 3, 3)), op="param")
+        b = ad.Tensor(rng.normal(size=(3, 2)), op="param")
+        probe = rng.normal(size=(3, 2, 2, 4, 4))
+        return lambda: ad.mul(ad.conv2d(x, w, b), probe).sum(), [x, w, b]
+    if name == "maxpool_members":
+        x = ad.Tensor(rng.normal(size=(2, 2, 2, 4, 4)), op="param")
+        probe = rng.normal(size=(2, 2, 2, 2, 2))
+        return lambda: ad.mul(ad.maxpool2x2(x), probe).sum(), [x]
+    if name == "concat_members":
+        a = ad.Tensor(rng.normal(size=(3, 2, 2, 2)), op="param")
+        probe = rng.normal(size=(2, 6, 2))
+        return lambda: ad.mul(ad.concat_members(a), probe).sum(), [a]
+    if name == "permute_members":
+        a = ad.Tensor(rng.normal(size=(3, 4, 2)), op="param")
+        perms = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0], [0, 2, 1]])
+        probe = rng.normal(size=(3, 4, 2))
+        return lambda: ad.mul(ad.permute_members(a, perms), probe).sum(), [a]
     if name == "mean":
         x = ad.Tensor(rng.normal(size=(3, 4, 2)), op="param")
         return lambda: ad.mul(x.mean(axis=(1, 2)), np.array([1.0, -2.0, 0.5])).sum(), [x]
@@ -944,7 +1059,11 @@ def rng2_const(x):
         "assigned_nll",
         "assigned_nll_uniform",
         "stack",
-        "take",
+        "conv2d_members",
+        "conv2d_members_shared",
+        "maxpool_members",
+        "concat_members",
+        "permute_members",
         "mean",
         "log_softmax",
         "softmax_cross_entropy",
@@ -1075,14 +1194,3 @@ def test_optimizer_gather_raises_on_a_missing_gradient():
     p.grad = np.ones(2)
     with pytest.raises(StateError):
         opt.gather()
-
-
-def test_take_closure_gives_the_full_gradient_backward_writes():
-    a = ad.Tensor(RNG.normal(size=(3, 2)), op="param")
-    g = RNG.normal(size=2)
-    t = ad.take(a, 1)
-    assert np.shares_memory(t.data, a.data)
-    ad.backward(ad.mul(t, g).sum())
-    (full,) = t._backward(g)
-    assert np.array_equal(a.grad, full)
-    assert np.array_equal(full[1], g) and not full[[0, 2]].any()

@@ -87,6 +87,23 @@ def test_member_probabilities_without_fusion_holds_one_member_trunk_at_a_time():
     assert growth < tap_bytes
 
 
+def test_member_probabilities_with_fusion_holds_no_features_of_every_member_past_the_mix():
+    # A fusion module needs every member's tap before any member continues.
+    # Untracked, its inject adds into the taps' buffer; each member's
+    # features are then copied out and that buffer freed, and each copy is
+    # freed once its member has pooled it. So the peak (4 taps at M=2: the
+    # taps and their copies, or the taps, projection and fused tensor) is
+    # one tap above a no-fusion pass; holding both members' features through
+    # the first member's trunk costs 2.
+    x = _batch(CNN, 128)
+    tap_bytes = 128 * math.prod(CNN.tap_shape) * 8
+    plain, fused = (_ensemble(CNN, fusion) for fusion in ("none", "module"))
+    growth = _peak_bytes(lambda: member_probabilities(fused, x)) - _peak_bytes(
+        lambda: member_probabilities(plain, x)
+    )
+    assert growth < 1.5 * tap_bytes
+
+
 @pytest.mark.parametrize("arch,param,op", [(MLP, "dense2.w", "dense"), (CNN, "conv2.w", "conv2d")])
 def test_member_probabilities_names_the_op_of_a_nonfinite_chunk(arch, param, op):
     state = _ensemble(arch, "none")

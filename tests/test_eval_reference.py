@@ -227,7 +227,7 @@ def test_inject_at_unit_scale_records_no_mul(spatial):
     fusion = FusionModule(members=2, tap_shape=tap_shape, seed=1)
     rng = np.random.default_rng(2)
     fused = ad.Tensor(rng.normal(size=(5, *tap_shape)), op="param")
-    own = ad.Tensor(rng.normal(size=(5, *tap_shape)), op="param")
+    own = ad.Tensor(rng.normal(size=(2, 5, *tap_shape)), op="param")  # member-major taps
     got = fusion.inject(fused, own)
     assert "mul" not in _ops(got)
     want = ref.inject(fused, own, 1.0)

@@ -31,6 +31,22 @@ def _mlp_cfg(method, **kw):
     return TrainConfig(**defaults)
 
 
+def _step_graph_sizes(dataset, cfg, monkeypatch):
+    """Nodes each training step's backward walks, one step per epoch."""
+    sizes = []
+    walk = ad.topo_order
+
+    def counted(root):
+        order = walk(root)
+        sizes.append(len(order))
+        return order
+
+    monkeypatch.setattr(ad, "topo_order", counted)
+    train(dataset, cfg)
+    assert len(sizes) == cfg.epochs
+    return sizes
+
+
 @pytest.mark.parametrize(
     "method,epoch,nodes",
     [
@@ -46,18 +62,20 @@ def test_mlp_training_step_graph_size(method, epoch, nodes, monkeypatch):
     # nodes and the log-softmax, then the objective and the sum. The smcl,
     # cmcl and amcl objectives are one assigned_nll node, penalty included;
     # ie's are two (nll and the per-member sum).
-    sizes = []
-    walk = ad.topo_order
+    cfg = _mlp_cfg(method, members=3, epochs=2, t_tau=1, batch_size=len(BLOBS))
+    assert _step_graph_sizes(BLOBS, cfg, monkeypatch)[epoch - 1] == nodes
 
-    def counted(root):
-        order = walk(root)
-        sizes.append(len(order))
-        return order
 
-    monkeypatch.setattr(ad, "topo_order", counted)
-    train(BLOBS, _mlp_cfg(method, members=3, epochs=2, t_tau=1, batch_size=len(BLOBS)))
-    assert len(sizes) == 2
-    assert sizes[epoch - 1] == nodes
+@pytest.mark.parametrize("fusion,nodes", [("none", 19), ("module", 35), ("share", 20)])
+def test_cnn_training_step_graph_size(fusion, nodes, monkeypatch):
+    # One 2-member amcl step: 8 parameter leaves and one member-axis node per
+    # layer (conv1, pool, conv2, pool, conv3, pool, flatten, fc), then the
+    # log-softmax, the objective and the sum. The fusion module adds its 6
+    # parameters, the channel concat, projection, spatial mean (sum and
+    # scale), two gate layers, sigmoid, reshape, gating mul and the inject;
+    # feature sharing adds one gather.
+    cfg = TrainConfig(method="amcl", members=2, epochs=1, t_tau=1, batch_size=len(BARS), fusion=fusion)
+    assert _step_graph_sizes(BARS, cfg, monkeypatch) == [nodes]
 
 
 def _one_batch_grads(method, k=1, fusion="none"):

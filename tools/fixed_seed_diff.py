@@ -2,15 +2,16 @@
 
     python3 tools/fixed_seed_diff.py --a ../parent --b .
 
-Each checkout's ``src/mclkit`` runs the same 15 configurations through
+Each checkout's ``src/mclkit`` runs the same 16 configurations through
 ``mclkit train`` and ``mclkit eval``: MLP M=3 ie/smcl/cmcl/amcl, smcl, cmcl
 and amcl with K=2, amcl with fusion module and share; CNN M=2 ie/smcl/cmcl/amcl,
-amcl with fusion module and share. Each runs with one BLAS thread. Every
-file the two checkouts write is compared byte for byte: ``train_log.csv``,
-``purity_flow.csv``, ``summary.csv``, ``config.txt``, every checkpoint (the
-fusion runs also save one per epoch) and every file of ``mclkit eval``
-(errors, confidence histograms, and for amcl the cross-entropy split,
-cumulative purity and OOD scores). A differing ``.csv`` also reports how many
+amcl with fusion module and share, and CNN M=3 amcl with K=2 (where a batched
+or side-by-side GEMM over the members would first block differently). Each
+runs with one BLAS thread. Every file the two checkouts write is compared
+byte for byte: ``train_log.csv``, ``purity_flow.csv``, ``summary.csv``,
+``config.txt``, every checkpoint (the fusion runs also save one per epoch)
+and every file of ``mclkit eval`` (errors, confidence histograms, and for
+amcl the cross-entropy split, cumulative purity and OOD scores). A differing ``.csv`` also reports how many
 of its cells differ and the largest absolute difference among its numeric
 cells, so outputs that move only in their last digits show as such. Outputs
 go under ``--work`` (default: a temporary directory, removed at the end).
@@ -39,8 +40,9 @@ CNN_OOD = "bars:classes=2,per_class=48,size=16,seed=5"
 
 MLP = ["--arch", "mlp", "--hidden", "32,16", "--members", "3", "--epochs", "6", "--t-tau", "3",
        "--batch-size", "32", "--dataset", MLP_DATA]
-CNN = ["--arch", "simple_cnn", "--members", "2", "--epochs", "3", "--t-tau", "2",
-       "--batch-size", "16", "--dataset", CNN_DATA]
+CNN_ANY_M = ["--arch", "simple_cnn", "--epochs", "3", "--t-tau", "2", "--batch-size", "16",
+             "--dataset", CNN_DATA]
+CNN = CNN_ANY_M + ["--members", "2"]
 EVERY_EPOCH = ["--checkpoint-every", "1"]
 
 # name -> (train arguments, test spec, OOD spec)
@@ -54,6 +56,8 @@ CONFIGS = {
     **{f"cnn-{m}": (CNN + ["--method", m], CNN_TEST, CNN_OOD) for m in ("ie", "smcl", "cmcl", "amcl")},
     "cnn-amcl-module": (CNN + ["--method", "amcl", "--fusion", "module"] + EVERY_EPOCH, CNN_TEST, CNN_OOD),
     "cnn-amcl-share": (CNN + ["--method", "amcl", "--fusion", "share"] + EVERY_EPOCH, CNN_TEST, CNN_OOD),
+    "cnn-amcl-m3-k2": (CNN_ANY_M + ["--members", "3", "--method", "amcl", "--overlap", "2"],
+                       CNN_TEST, CNN_OOD),
 }
 
 

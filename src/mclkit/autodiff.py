@@ -56,6 +56,7 @@ FINITE_CHECKS = True
 # moved by 5 to 40 MiB with the heap layout that training and loading left
 # behind; an untracked ``conv2d`` therefore releases free pages first.
 MMAP_THRESHOLD = 8 << 20
+CONV_TILE_BYTES = 16 << 20  # patch-row bytes per untracked conv2d GEMM at most
 try:
     _libc = ctypes.CDLL(None)
     _libc.mallopt(-3, MMAP_THRESHOLD)  # -3 is M_MMAP_THRESHOLD in <malloc.h>
@@ -484,8 +485,9 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     to ``relu(conv2d(...))``; with per-op checks on, the pre-activation is
     checked first, naming ``conv2d``. A constant or input batch gets no
     gradient; a shared input's is the members' summed in member order. Under
-    ``no_graph`` it first returns the heap's free pages (``release_heap``), so
-    earlier layers' freed pages are not resident under its patch matrix.
+    ``no_graph`` it first returns the heap's free pages (``release_heap``),
+    then runs the GEMM on blocks of batch rows, at most ``CONV_TILE_BYTES`` of
+    patches each, into the output's rows; a recorded forward is one GEMM.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride != 1:
@@ -519,11 +521,22 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
         xp = np.zeros((mx, bsz, h + 2 * ph, wd + 2 * pw, cin))
         xp[:, :, ph : ph + h, pw : pw + wd] = xm.transpose(0, 1, 3, 4, 2)
     if shared:  # the members' filters side by side: member m's at columns m*F.. of one GEMM
-        wmat = wm.transpose(3, 4, 2, 0, 1).reshape(k, m * f)
-        out = (_im2col(xp[0], kh, kw) @ wmat).reshape(bsz, h, wd, m, f).transpose(3, 0, 1, 2, 4)
+        wmat = wm.transpose(3, 4, 2, 0, 1).reshape(1, k, m * f)
     else:
         wmat = wm.transpose(0, 3, 4, 2, 1).reshape(m, k, f)
-        out = (_im2col(xp, kh, kw) @ wmat).reshape(m, bsz, h, wd, f)
+    # Near-equal blocks (OpenBLAS's GEMMs of at most 1e6 multiply-adds can differ in bits), the
+    # first built before the output as one GEMM's were: one freed atop the heap is trimmed, then refaults.
+    rows, hw = max(1, CONV_TILE_BYTES // (mx * h * wd * k * 8)), h * wd  # examples per block
+    n = 1 if _graph.recording else -(-max(bsz, 1) // rows)
+    cols = _im2col(xp[:, : bsz // n], kh, kw)
+    gemm = np.empty((mx, bsz * hw, wmat.shape[-1]))
+    for i in range(n):
+        lo, hi = bsz * i // n, bsz * (i + 1) // n
+        if i:
+            cols = _im2col(xp[:, lo:hi], kh, kw)
+        np.matmul(cols, wmat, out=gemm[:, lo * hw : hi * hw])
+        del cols  # freed before the next block is built
+    out = gemm.reshape(bsz, h, wd, m, f).transpose(3, 0, 1, 2, 4) if shared else gemm.reshape(m, bsz, h, wd, f)
     if bt is not None:
         out += bt.data.reshape(m, 1, 1, 1, f)
     if relu:
@@ -830,8 +843,8 @@ class SgdConfig:
 def sgd_step(params, grads, cfg: SgdConfig, buffers=None):
     """One SGD update, in place: buf <- momentum * buf + grad + wd * p, p <- p - lr * buf.
 
-    Returns the (updated) momentum buffers so callers can thread them
-    through successive steps. The grads are only read.
+    Returns the updated momentum buffers, for the next step; the grads are
+    only read. One temporary holds grad + wd * p, then lr * buf.
     """
     params = list(params)
     grads = list(grads)
@@ -840,13 +853,15 @@ def sgd_step(params, grads, cfg: SgdConfig, buffers=None):
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             raise StateError("sgd_step with a missing gradient; run backward first")
-        d = g + cfg.weight_decay * p.data if cfg.weight_decay else g
+        d = np.asarray(p.data * cfg.weight_decay) if cfg.weight_decay else None  # 0-d too: out= needs an array
+        if d is not None:
+            d += g
         if buffers[i] is None:
-            buffers[i] = np.array(d)  # a copy: without weight decay d is the caller's grad
+            buffers[i], d = (np.array(g) if d is None else d), None  # a copy: never the caller's grad
         else:
             buffers[i] *= cfg.momentum
-            buffers[i] += d
-        p.data -= cfg.learning_rate * buffers[i]
+            buffers[i] += g if d is None else d
+        p.data -= np.multiply(buffers[i], cfg.learning_rate, out=d)
     return buffers
 
 

@@ -105,17 +105,15 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     during training), then the trunk from the tap. Under ``no_graph`` a CNN
     runs its trunk one member at a time, on its ``MemberModel`` view, so one
     member's trunk is in memory at a time: the whole trunk when nothing
-    mixes features, the part after the tap when something does. Then each
-    member's features are copied out of the member-major tensor, which is
-    freed before the first member continues, and each copy is freed once
-    its member has pooled it.
+    mixes features, the part after the tap when something does, from every
+    member's pooled features, taken before the member-major tensor is freed.
     """
     x = ad.as_tensor(x)
     arch, layer = state.arch, state.layers.__getitem__
     mixes = state.fusion_mode == "module" or (state.fusion_mode == "share" and train_mode)
     per_member = arch.kind == "simple_cnn" and not ad.recording()
     if per_member and not mixes:
-        return ad.stack([m.forward_from_tap(m.forward_to_tap(x)) for m in state.members])
+        return ad.stack([m.forward_from_tap(ad.maxpool2x2(m.forward_to_tap(x))) for m in state.members])
     feats = trunk_to_tap(arch, layer, x)
     if state.fusion_mode == "module":
         feats = state.fusion.member_features(feats)
@@ -124,10 +122,11 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
             raise ConfigurationError("feature sharing needs a seeded generator")
         feats = feature_share(feats, p_share=state.p_share, rng=share_rng)
     if not per_member:
-        return trunk_from_tap(arch, layer, feats)
-    parts = [f.copy(order="K") for f in reversed(feats.data)]
+        return trunk_from_tap(arch, layer, ad.maxpool2x2(feats) if arch.kind == "simple_cnn" else feats)
+    ad.release_heap()  # the fused tensor's freed pages, before the pooled features are made
+    parts = [ad.maxpool2x2(f) for f in reversed(feats.data)]  # a quarter of a tap each
     del feats
-    return ad.stack([member.forward_from_tap(parts.pop()) for member in state.members])
+    return ad.stack([m.forward_from_tap(parts.pop()) for m in state.members])
 
 
 def _class_major_softmax(logits: np.ndarray) -> np.ndarray:
@@ -168,12 +167,12 @@ def probability_chunks(state: EnsembleState, features, batch_size: int = EVAL_BA
     """Yield ``(start, probs)`` for each chunk of ``batch_size`` examples from
     ``start`` on, ``probs`` being the members' class-major softmax [W, M, B].
 
-    Each chunk runs the ordinary forward under ``no_graph``: the arithmetic
-    is that of a training forward, but no graph is recorded, so activations
-    are freed once the next layer has consumed them. Without a fusion stage
-    a CNN chunk holds one member's trunk at a time; with one, every member's
-    tap lives until its member has continued past it. Only the probabilities
-    are checked; a failing chunk reruns with per-op checks, to name the op.
+    Each chunk runs the ordinary forward under ``no_graph``: no graph is
+    recorded, so activations are freed once consumed, and a conv holds one
+    block of patch rows (``autodiff.CONV_TILE_BYTES``). A CNN chunk holds one
+    member's trunk at a time, and a fusion stage every member's tap until all
+    are pooled. Only the probabilities are checked; a failing chunk reruns
+    with per-op checks, to name the op.
     """
     for start in range(0, features.shape[0], batch_size):
         chunk = features[start : start + batch_size]

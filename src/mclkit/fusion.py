@@ -86,7 +86,10 @@ class FusionModule:
         )
         if self.spatial:
             gate = gate.reshape(-1, self.channels, 1, 1)
-        return ad.mul(z, gate)
+        if ad.recording():
+            return ad.mul(z, gate)
+        z.data *= gate.data  # mul's bits, in the projection's own buffer
+        return z
 
     def inject(self, fused: ad.Tensor, taps) -> ad.Tensor:
         """Features the members continue from: the shared fused tensor plus

@@ -151,13 +151,10 @@ def trunk_to_tap(spec: ArchitectureSpec, param, x) -> ad.Tensor:
     return mlp_layers(spec, param, x, 1, 1)
 
 
-def trunk_from_tap(spec: ArchitectureSpec, param, tap) -> ad.Tensor:
-    """Logits from the taps, ``param`` as in ``trunk_to_tap``. A CNN drops the
-    tap once pooled, so under ``no_graph`` one only the call held is freed."""
+def trunk_from_tap(spec: ArchitectureSpec, param, h) -> ad.Tensor:
+    """Logits from the taps, a CNN's max-pooled, ``param`` as in ``trunk_to_tap``."""
     if spec.kind != "simple_cnn":
-        return mlp_layers(spec, param, tap, 2)
-    h = ad.maxpool2x2(tap)
-    del tap
+        return mlp_layers(spec, param, h, 2)
     for i in (2, 3):
         h = ad.maxpool2x2(_conv_relu(h, param, i))
     h = ad.reshape(h, (*h.shape[:-3], -1))
@@ -173,11 +170,11 @@ def _conv_relu(h, param, i: int) -> ad.Tensor:
 class MemberModel:
     """Member ``member_index`` of an ensemble, as a one-member evaluation view.
 
-    ``forward_to_tap``/``forward_from_tap`` run the trunk functions on this
-    member's slices of the ensemble's [M, …] ``layers``, read as values (no
-    gradient reaches the layers): [B, …] in, [B, …] out. ``params[name].data``
-    is a writable view of its slot. Nothing is cached: the optimizer rebinds
-    every layer to a view of one packed vector.
+    ``forward_to_tap``/``forward_from_tap`` (from the taps, a CNN's max-pooled)
+    run the trunk functions on this member's slices of the ensemble's [M, …]
+    ``layers``, read as values (no gradient reaches the layers): [B, …] in,
+    [B, …] out. ``params[name].data`` is a writable view of its slot. Nothing
+    is cached: the optimizer rebinds every layer to a view of one packed vector.
     """
 
     def __init__(self, spec: ArchitectureSpec, layers: dict, member_index: int):
@@ -198,15 +195,16 @@ class MemberModel:
     def forward_to_tap(self, x) -> ad.Tensor:
         return trunk_to_tap(self.spec, self._value, x)
 
-    def forward_from_tap(self, tap) -> ad.Tensor:
-        tap = ad.as_tensor(tap)
-        expected = self.spec.tap_shape
-        if tuple(tap.shape[1:]) != tuple(expected):
+    def forward_from_tap(self, h) -> ad.Tensor:
+        h = ad.as_tensor(h)
+        c, *hw = self.spec.tap_shape
+        expected = (c, *(n // 2 for n in hw))  # a CNN's pooled taps are half as high and wide
+        if tuple(h.shape[1:]) != expected:
             raise ConfigurationError(
-                f"tap feature shape {tuple(tap.shape[1:])} does not match {expected}"
+                f"pooled tap shape {tuple(h.shape[1:])} does not match {expected}"
             )
-        held = [tap]  # hand the only reference on, so trunk_from_tap can free the tap
-        del tap
+        held = [h]  # hand the only reference on, so trunk_from_tap can free the features
+        del h
         return trunk_from_tap(self.spec, self._value, held.pop())
 
 

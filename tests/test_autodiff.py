@@ -1,5 +1,6 @@
 """Forward values, gradients, and SGD semantics of the tensor core."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,137 @@ def test_untracked_conv2d_returns_free_heap_pages_before_its_patch_matrix(monkey
         untracked = ad.conv2d(x_data, w, b, relu=True)
     assert calls == [0]
     assert np.array_equal(untracked.data, recorded.data)
+
+
+# Batch-tiled conv2d: blocks of patch rows of at most ad.CONV_TILE_BYTES each.
+def _one_gemm_conv2d(x, w, b, relu):
+    """The untiled forward: one patch matrix for the whole batch and one GEMM
+    (per member for a member-major input), bias and relu on its NHWC output."""
+    one, shared = w.ndim == 4, x.ndim == 4
+    wm, xm = (w[None] if one else w), (x[None] if shared else x)
+    m, f, cin, kh, kw = wm.shape
+    mx, bsz, _, h, wd = xm.shape
+    xp = np.zeros((mx, bsz, h + kh - 1, wd + kw - 1, cin))
+    xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = xm.transpose(0, 1, 3, 4, 2)
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = np.moveaxis(windows, -3, -1).reshape(mx, -1, kh * kw * cin)
+    if shared:
+        out = (cols[0] @ wm.transpose(3, 4, 2, 0, 1).reshape(-1, m * f)).reshape(bsz, h, wd, m, f)
+        out = out.transpose(3, 0, 1, 2, 4)
+    else:
+        out = (cols @ wm.transpose(0, 3, 4, 2, 1).reshape(m, -1, f)).reshape(m, bsz, h, wd, f)
+    if b is not None:
+        out += (b[None] if one else b).reshape(m, 1, 1, 1, f)
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    nchw = out.transpose(0, 1, 4, 2, 3)
+    return nchw[0] if one else nchw
+
+
+def _tile_examples(x_shape, k):
+    """Examples per block of patch rows: ``CONV_TILE_BYTES`` over one
+    example's patch bytes (every member's, for a member-major input)."""
+    members = x_shape[0] if len(x_shape) == 5 else 1
+    cin, h, w = x_shape[-3:]
+    return ad.CONV_TILE_BYTES // (members * h * w * k * k * cin * 8)
+
+
+def _counting_im2col(monkeypatch):
+    calls = []
+    im2col = ad._im2col
+
+    def counted(*args):
+        calls.append(args[0].shape[-4])  # the block's examples
+        return im2col(*args)
+
+    monkeypatch.setattr(ad, "_im2col", counted)
+    return calls
+
+
+# (kernel rank, input rank) of one member's kernel, member kernels over a
+# shared input, and member kernels over member-major inputs; (C, H, k) with
+# one example's patch rows large enough that blocks hold few examples.
+CONV_TILE_LAYOUTS = {"one": (4, 4), "shared": (5, 4), "member_major": (5, 5)}
+CONV_TILE_SHAPES = {3: (32, 16), 1: (64, 32)}
+
+
+@pytest.mark.parametrize("batch", ["single", "block-1", "block", "block+1"])
+@pytest.mark.parametrize("k", [3, 1])
+@pytest.mark.parametrize("layout", list(CONV_TILE_LAYOUTS))
+def test_tiled_conv2d_is_bit_identical_to_one_gemm(monkeypatch, layout, k, batch):
+    w_rank, x_rank = CONV_TILE_LAYOUTS[layout]
+    cin, size = CONV_TILE_SHAPES[k]
+    m, f = 2, 6
+    lead = (m,) if x_rank == 5 else ()
+    step = _tile_examples((*lead, 1, cin, size, size), k)
+    bsz = {"single": 1, "block-1": step - 1, "block": step, "block+1": step + 1}[batch]
+    rng = np.random.default_rng(list(f"{layout}{k}{batch}".encode()))
+    x = rng.normal(size=(*lead, bsz, cin, size, size))
+    w = rng.normal(size=((m,) if w_rank == 5 else ()) + (f, cin, k, k))
+    b = rng.normal(size=w.shape[:-3])
+    calls = _counting_im2col(monkeypatch)
+    for bias in (None, b):
+        for relu in (False, True):
+            with ad.no_graph():
+                out = ad.conv2d(x, w, bias, relu=relu).data
+            assert np.array_equal(out, _one_gemm_conv2d(x, w, bias, relu))
+            assert relu is False or 0 < np.count_nonzero(out) < out.size
+    blocks = [bsz] if bsz <= step else [bsz // 2, bsz - bsz // 2]  # near-equal
+    assert calls == blocks * 4
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_tiled_conv2d_names_itself_on_a_minus_infinity_in_a_later_block(relu):
+    cin, size = CONV_TILE_SHAPES[3]
+    bsz = _tile_examples((1, cin, size, size), 3) + 1  # two blocks
+    x = RNG.normal(size=(bsz, cin, size, size))
+    x[-1, 0] = 1e200  # the last example: in the second block
+    w = RNG.normal(size=(4, cin, 3, 3))
+    w[:, 0] = -1e200
+    with np.errstate(over="ignore", invalid="ignore"), ad.no_graph():
+        with pytest.raises(NumericError, match="op 'conv2d'"):
+            ad.conv2d(x, w, relu=relu)
+        x[-1, 0] = 1.0
+        assert np.isfinite(ad.conv2d(x, w, relu=relu).data).all()
+
+
+def test_untracked_conv2d_at_an_evaluation_chunk_holds_one_block_of_patches():
+    # conv2 of one member at the 512-example evaluation chunk: its whole
+    # patch matrix, [32768, 288], is 75 MB; the padded input, the output and
+    # one block of patch rows come to about 45 MB.
+    rng = np.random.default_rng(2)
+    x, w, b = rng.normal(size=(512, 32, 8, 8)), rng.normal(size=(64, 32, 3, 3)), rng.normal(size=64)
+    tracemalloc.start()
+    try:
+        with ad.no_graph():
+            out = ad.conv2d(x, w, b, relu=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (512, 64, 8, 8)
+    assert peak < 50 * 2**20
+
+
+@pytest.mark.parametrize("bsz", [32, 64])  # the benchmark's training batch; TrainConfig's default
+@pytest.mark.parametrize("x_shape,w_shape", [
+    ((1, 16, 16), (2, 32, 1, 3, 3)),  # conv1: the members' filters over the shared batch
+    ((2, 32, 8, 8), (2, 64, 32, 3, 3)),  # conv2, member-major
+    ((2, 64, 4, 4), (2, 128, 64, 3, 3)),  # conv3, member-major
+])
+def test_conv2d_at_a_training_batch_is_one_block(monkeypatch, x_shape, w_shape, bsz):
+    # A recorded forward is one GEMM at any batch; at B=64, M=2, conv2's
+    # patches (18.9 MB) are past the budget, so untracked it splits.
+    x_shape = (*x_shape[:-3], bsz, *x_shape[-3:]) if len(x_shape) == 4 else (bsz, *x_shape)
+    calls = _counting_im2col(monkeypatch)
+    x = ad.Tensor(RNG.normal(size=x_shape), op="param")
+    w = ad.Tensor(RNG.normal(size=w_shape), op="param")
+    out = ad.conv2d(x, w, relu=True)
+    assert calls == [bsz]
+    assert out.parents
+    with ad.no_graph():
+        untracked = ad.conv2d(x, w, relu=True)
+    assert len(calls) - 1 == -(-bsz // _tile_examples(x_shape, 3))
+    assert np.array_equal(untracked.data, out.data)
 
 
 # Member-axis conv2d: each member's share of the one GEMM is its own 4-D call's.
@@ -1118,6 +1250,21 @@ def test_sgd_updates_in_place_and_only_reads_the_gradient(weight_decay):
     ad.sgd_step([p], [g], cfg, bufs)
     assert p.data is storage
     assert np.array_equal(g, before)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_sgd_step_after_the_first_allocates_one_temporary(weight_decay):
+    n = 1 << 17
+    p, g = ad.Tensor(RNG.normal(size=n), op="param"), RNG.normal(size=n)
+    cfg = ad.SgdConfig(weight_decay=weight_decay)
+    bufs = ad.sgd_step([p], [g], cfg)
+    tracemalloc.start()
+    try:
+        ad.sgd_step([p], [g], cfg, bufs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * 8
 
 
 def test_sgd_missing_grad_raises():

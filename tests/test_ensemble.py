@@ -35,7 +35,7 @@ def _recorded_probabilities(state, x):
     return np.stack(list(ad.softmax(logits, axis=-1).data), axis=1)
 
 
-@pytest.mark.parametrize("arch,fusion", [(MLP, "none"), (CNN, "none"), (CNN, "module")])
+@pytest.mark.parametrize("arch,fusion", [(MLP, "none"), (CNN, "none"), (CNN, "module"), (MLP, "module")])
 def test_member_probabilities_bit_identical_to_recorded_forward(arch, fusion):
     state = _ensemble(arch, fusion)
     x = _batch(arch, 12)
@@ -89,12 +89,11 @@ def test_member_probabilities_without_fusion_holds_one_member_trunk_at_a_time():
 
 def test_member_probabilities_with_fusion_holds_no_features_of_every_member_past_the_mix():
     # A fusion module needs every member's tap before any member continues.
-    # Untracked, its inject adds into the taps' buffer; each member's
-    # features are then copied out and that buffer freed, and each copy is
-    # freed once its member has pooled it. So the peak (4 taps at M=2: the
-    # taps and their copies, or the taps, projection and fused tensor) is
-    # one tap above a no-fusion pass; holding both members' features through
-    # the first member's trunk costs 2.
+    # Untracked, its gate multiplies into the projection's buffer and its
+    # inject adds into the taps' buffer; each member's features are then
+    # max-pooled out and that buffer freed. So the peak (3 taps at M=2: the
+    # taps and the fused tensor) is less than one tap above a no-fusion pass;
+    # holding both members' features through the first member's trunk costs 2.
     x = _batch(CNN, 128)
     tap_bytes = 128 * math.prod(CNN.tap_shape) * 8
     plain, fused = (_ensemble(CNN, fusion) for fusion in ("none", "module"))

@@ -19,10 +19,15 @@ def member(spec, index, seed):
     return state.members[index]
 
 
+def pooled(model, tap):
+    """What ``forward_from_tap`` takes: a CNN's tap max-pooled, an MLP's as it is."""
+    return ad.maxpool2x2(tap) if model.spec.kind == "simple_cnn" else tap
+
+
 def forward(model, x):
     """One member's logits and its own tap features."""
     tap = model.forward_to_tap(x)
-    return model.forward_from_tap(tap), tap
+    return model.forward_from_tap(pooled(model, tap)), tap
 
 
 def predict_proba(model, batch):
@@ -90,7 +95,7 @@ def test_injecting_own_tap_is_identity():
     model = member(CNN_SPEC, 0, seed=3)
     x = RNG.uniform(size=(2, 1, 16, 16))
     logits_plain, tap = forward(model, x)
-    logits_inj = model.forward_from_tap(tap.data)
+    logits_inj = model.forward_from_tap(pooled(model, tap.data))
     assert np.array_equal(logits_plain.data, logits_inj.data)
 
 
@@ -98,6 +103,8 @@ def test_injected_tap_shape_checked():
     model = member(CNN_SPEC, 0, seed=3)
     with pytest.raises(ConfigurationError):
         model.forward_from_tap(RNG.normal(size=(2, 16, 16, 16)))
+    with pytest.raises(ConfigurationError):  # a tap not yet pooled
+        model.forward_from_tap(RNG.normal(size=(2, 32, 16, 16)))
 
 
 def test_two_members_same_input_different_logits():

@@ -57,6 +57,8 @@ FINITE_CHECKS = True
 # behind; an untracked ``conv2d`` therefore releases free pages first.
 MMAP_THRESHOLD = 8 << 20
 CONV_TILE_BYTES = 16 << 20  # patch-row bytes per untracked conv2d GEMM at most
+COL_BLOCK_BYTES = 2 << 20  # column-gradient bytes per conv2d backward block at most
+SMALL_GEMM = 1_000_000  # OpenBLAS's small-matrix kernel (bits can differ) runs GEMMs up to this many multiply-adds
 try:
     _libc = ctypes.CDLL(None)
     _libc.mallopt(-3, MMAP_THRESHOLD)  # -3 is M_MMAP_THRESHOLD in <malloc.h>
@@ -391,9 +393,16 @@ def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
+    """``a.data.reshape(shape)``. A copying reshape (a conv trunk's NHWC map
+    into ``fc``) returns its gradient copied exactly into the input's layout,
+    in which its producer's backward reads it fastest."""
     a = as_tensor(a)
-    in_shape = a.data.shape
-    return _make_pruned(a.data.reshape(shape), (a,), "reshape", (lambda g: g.reshape(in_shape),))
+    x = a.data
+
+    def grad(g):
+        return g.reshape(x.shape) if x.flags.c_contiguous else np.positive(g.reshape(x.shape), out=np.empty_like(x))
+
+    return _make_pruned(x.reshape(shape), (a,), "reshape", (grad,))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -426,12 +435,13 @@ def stack(tensors) -> Tensor:
 
 def concat_members(a) -> Tensor:
     """[M, B, C, …] -> [B, M*C, …], the values of ``concat(list(a), axis=1)``,
-    as one node; a view of conv2d's NHWC buffer over a shared input."""
+    as one node, channels last in memory: a view of an untracked conv2d's
+    side-by-side NHWC buffer, else one copy a 1x1 conv reads as a view."""
     a = as_tensor(a)
     if a.ndim < 3:
         raise ConfigurationError("concat_members expects member-major [M, B, C, …] input")
     m, b, c, *rest = a.data.shape
-    out = np.moveaxis(a.data, 0, 1).reshape(b, m * c, *rest)
+    out = np.moveaxis(np.moveaxis(a.data, (0, 2), (-2, -1)).reshape(b, *rest, m * c), -1, 1)
     return _make_pruned(out, (a,), "concat_members", (lambda g: np.moveaxis(g.reshape(b, m, c, *rest), 1, 0),))
 
 
@@ -476,18 +486,23 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     [B, F, H, W]. im2col + GEMM (Chellapilla et al. 2006): the input is padded
     once into an NHWC buffer whose shifted windows form the [B*H*W, kh*kw*C]
     patch matrix, rebuilt by backward from the padded input (a 1x1 kernel reads
-    the input as a view). A shared input is one GEMM against the members'
-    filters side by side, [kh*kw*C, M*F]; a member-major one a batched GEMM.
-    Each member's share gave the bits of its own 2-D GEMM, forward and
-    backward, on the BLAS measured (not a guarantee: ``tools/fixed_seed_diff.py``
-    checks it). The output is a member-major NCHW view of the NHWC GEMM output,
-    bias and relu applied in place, so values and gradients are bit-identical
-    to ``relu(conv2d(...))``; with per-op checks on, the pre-activation is
-    checked first, naming ``conv2d``. A constant or input batch gets no
-    gradient; a shared input's is the members' summed in member order. Under
-    ``no_graph`` it first returns the heap's free pages (``release_heap``),
-    then runs the GEMM on blocks of batch rows, at most ``CONV_TILE_BYTES`` of
-    patches each, into the output's rows; a recorded forward is one GEMM.
+    the input as a view). The output is an NCHW view of member-major NHWC,
+    [M, B, H, W, F], from a batched GEMM (a shared input's members share its
+    patch matrix), except untracked over a shared input: one GEMM against the
+    members' filters side by side, into [B, H, W, M, F], whose channel
+    concatenation (fusion's) is a view. A shared input's weight gradient is
+    that side-by-side GEMM (per member, small batches would reach OpenBLAS's
+    small-matrix kernel). Each member's share gave the bits of its own 2-D GEMM on the BLAS
+    measured (``tools/fixed_seed_diff.py`` checks it). Bias and relu apply in
+    place, so values and gradients are bit-identical to ``relu(conv2d(...))``;
+    with per-op checks on, the pre-activation is checked first, naming
+    ``conv2d``. A constant or input batch gets no gradient; a shared input's is
+    the members' summed in member order. Under ``no_graph`` it first returns
+    the heap's free pages (``release_heap``), then runs the GEMM on blocks of
+    batch rows, at most ``CONV_TILE_BYTES`` of patches each; a recorded forward
+    is one GEMM. The backward makes and col2im's the column gradient in blocks
+    of at most ``COL_BLOCK_BYTES`` (heap, not a fresh mmap each step). Blocks are
+    near-equal, none with a GEMM as small as ``SMALL_GEMM``: the bits of one GEMM.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride != 1:
@@ -520,23 +535,24 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     else:
         xp = np.zeros((mx, bsz, h + 2 * ph, wd + 2 * pw, cin))
         xp[:, :, ph : ph + h, pw : pw + wd] = xm.transpose(0, 1, 3, 4, 2)
-    if shared:  # the members' filters side by side: member m's at columns m*F.. of one GEMM
-        wmat = wm.transpose(3, 4, 2, 0, 1).reshape(1, k, m * f)
-    else:
-        wmat = wm.transpose(0, 3, 4, 2, 1).reshape(m, k, f)
+    # Untracked, a shared input's GEMM runs the members' filters side by side (member m's at
+    # columns m*F..), so fusion reads their channels' concatenation as a view of its output.
+    side_by_side = shared and not _graph.recording
+    wmat = (wm.transpose(3, 4, 2, 0, 1).reshape(1, k, m * f) if side_by_side
+            else wm.transpose(0, 3, 4, 2, 1).reshape(m, k, f))
     # Near-equal blocks (OpenBLAS's GEMMs of at most 1e6 multiply-adds can differ in bits), the
     # first built before the output as one GEMM's were: one freed atop the heap is trimmed, then refaults.
     rows, hw = max(1, CONV_TILE_BYTES // (mx * h * wd * k * 8)), h * wd  # examples per block
     n = 1 if _graph.recording else -(-max(bsz, 1) // rows)
     cols = _im2col(xp[:, : bsz // n], kh, kw)
-    gemm = np.empty((mx, bsz * hw, wmat.shape[-1]))
+    gemm = np.empty((len(wmat), bsz * hw, wmat.shape[-1]))
     for i in range(n):
         lo, hi = bsz * i // n, bsz * (i + 1) // n
         if i:
             cols = _im2col(xp[:, lo:hi], kh, kw)
         np.matmul(cols, wmat, out=gemm[:, lo * hw : hi * hw])
         del cols  # freed before the next block is built
-    out = gemm.reshape(bsz, h, wd, m, f).transpose(3, 0, 1, 2, 4) if shared else gemm.reshape(m, bsz, h, wd, f)
+    out = gemm.reshape(bsz, h, wd, m, f).transpose(3, 0, 1, 2, 4) if side_by_side else gemm.reshape(m, bsz, h, wd, f)
     if bt is not None:
         out += bt.data.reshape(m, 1, 1, 1, f)
     if relu:
@@ -547,29 +563,34 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
 
     def back(g):
         g2 = (g[None] if one else g).transpose(0, 1, 3, 4, 2)  # [M, B, H, W, F]
-        if relu:
-            g2 = g2 * (out > 0)
-        if shared:
-            g2 = g2.transpose(1, 2, 3, 0, 4).reshape(-1, m * f)  # [B*H*W, M*F], as the GEMM's output
-            gw = (_im2col(xp[0], kh, kw).T @ g2).reshape(kh, kw, cin, m, f).transpose(3, 4, 2, 0, 1)
-            gb = g2.sum(axis=0).reshape(m, f)
-            g2 = g2.reshape(-1, m, f).transpose(1, 0, 2)
-            wt = wmat.reshape(k, m, f).transpose(1, 2, 0)
+        if shared:  # [B*H*W, M*F]: the members side by side in one weight-gradient GEMM
+            side = g2.transpose(1, 2, 3, 0, 4)
+            if relu:  # masked straight into that layout
+                side = np.multiply(side, out.transpose(1, 2, 3, 0, 4) > 0, out=np.empty(side.shape))
+            side = side.reshape(-1, m * f)
+            gw = (_im2col(xp[0], kh, kw).T @ side).reshape(kh, kw, cin, m, f).transpose(3, 4, 2, 0, 1)
+            gb = side.sum(axis=0).reshape(m, f)
+            g2 = side.reshape(-1, m, f).transpose(1, 0, 2)
         else:
-            g2 = g2.reshape(m, -1, f)
+            g2 = (g2 * (out > 0) if relu else g2).reshape(m, -1, f)
             gw = (_im2col(xp, kh, kw).swapaxes(1, 2) @ g2).reshape(m, kh, kw, cin, f)
             gw = gw.transpose(0, 4, 3, 1, 2)
             gb = g2.sum(axis=1)
-            wt = wmat.swapaxes(1, 2)
+        wt = wmat.swapaxes(1, 2)
         grads = [gw[0] if one else gw]
         if bt is not None:
             grads.append(gb[0] if one else gb)
         if need_gx:
-            gcols = (g2 @ wt).reshape(m, bsz, h, wd, kh, kw, cin)
             gxp = np.zeros((m, bsz, h + 2 * ph, wd + 2 * pw, cin))
-            for u in range(kh):
-                for v in range(kw):
-                    gxp[:, :, u : u + h, v : v + wd] += gcols[:, :, :, :, u, v]
+            per = max(1, COL_BLOCK_BYTES // (m * hw * k * 8))  # examples per block; none at or below SMALL_GEMM:
+            n = max(1, min(-(-bsz // per), bsz // (SMALL_GEMM // (hw * f * k) + 1)))
+            for i in range(n):  # the column gradient of a block of examples, then its col2im
+                lo, hi = bsz * i // n, bsz * (i + 1) // n
+                gcols = (g2[:, lo * hw : hi * hw] @ wt).reshape(m, hi - lo, h, wd, kh, kw, cin)
+                for u in range(kh):
+                    for v in range(kw):
+                        gxp[:, lo:hi, u : u + h, v : v + wd] += gcols[:, :, :, :, u, v]
+                del gcols  # freed before the next block's
             gx = gxp[:, :, ph : ph + h, pw : pw + wd].transpose(0, 1, 4, 2, 3)
             if shared:
                 gx = gx[0] if one else gx.sum(axis=0)
@@ -603,7 +624,9 @@ def maxpool2x2(x) -> Tensor:
 
     The forward is an elementwise maximum of the four stride-2 slices. The
     backward gives each window's gradient to the first of its slices, in the
-    order (0,0), (0,1), (1,0), (1,1), that holds the window's maximum.
+    order (0,0), (0,1), (1,0), (1,1), that holds the window's maximum, writing
+    each slice once, in the input's layout, as g times its routing mask; so an
+    entry not routed to is g * 0, which is -0.0 where g < 0.
     """
     x = as_tensor(x)
     if x.data.ndim < 3:
@@ -618,13 +641,13 @@ def maxpool2x2(x) -> Tensor:
     )
 
     def back(g):
-        gx = np.zeros_like(xd)
-        free = np.ones(out.shape, dtype=bool)
+        gx = np.empty_like(xd)  # in xd's memory layout; each slice is written once
+        taken = np.zeros(out.shape, dtype=bool)  # windows whose max an earlier slice held
         for i, j in ((0, 0), (0, 1), (1, 0)):
-            hit = free & (xd[..., i::2, j::2] == out)
-            gx[..., i::2, j::2] = np.where(hit, g, 0.0)
-            free &= ~hit
-        gx[..., 1::2, 1::2] = np.where(free, g, 0.0)
+            hit = np.greater(xd[..., i::2, j::2] == out, taken)
+            np.multiply(g, hit, out=gx[..., i::2, j::2])
+            taken |= hit
+        np.multiply(g, ~taken, out=gx[..., 1::2, 1::2])
         return (gx,)
 
     return _make(out, (x,), "maxpool2x2", back)

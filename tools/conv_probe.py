@@ -16,7 +16,9 @@ made during the call: the padded input, the patch rows, the output; not
 the input, which exists before) and the median wall time of ``--repeats``
 forwards. ``--src`` points at the ``src`` directory whose ``mclkit`` to
 load (default: this checkout's), so two checkouts can be compared with the
-same script. Only numpy and the standard library are needed.
+same script. One BLAS thread unless ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS``
+are set: both default to 1 before numpy is imported, and the header prints
+what was used. Only numpy and the standard library are needed.
 """
 from __future__ import annotations
 
@@ -28,7 +30,15 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
+# With default BLAS threads the first row read several times its usual time in
+# some runs; the benchmark runs one thread. Set before numpy loads BLAS; a
+# caller's setting wins.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+CALLER_THREADS = {k: os.environ[k] for k in THREAD_VARS if k in os.environ}
+for _var in THREAD_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 # (name, input channels, filters, spatial extent) of the three conv layers.
 LAYERS = [("conv1", 1, 32, 16), ("conv2", 32, 64, 8), ("conv3", 64, 128, 4)]
@@ -85,9 +95,10 @@ def main(argv=None) -> int:
     sys.path.insert(0, args.src)
     import mclkit.autodiff as ad
 
-    threads = {k: os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if k in os.environ}
+    threads = ", ".join(f"{k}={os.environ[k]}" + ("" if k in CALLER_THREADS else " (default)")
+                        for k in THREAD_VARS)
     print(f"mclkit from {Path(ad.__file__).parent}; numpy {np.__version__}; nproc {os.cpu_count()}; "
-          f"threads {threads or 'default'}; tile budget "
+          f"{threads}; tile budget "
           f"{getattr(ad, 'CONV_TILE_BYTES', 0) / 2**20:g} MiB (0: untiled)")
     print(f"{'layer':6} {'phase':16} {'peak MiB':>9} {'median ms':>10}")
     for name, phase, forward in cases(ad, np.random.default_rng(0)):

@@ -57,8 +57,6 @@ FINITE_CHECKS = True
 # behind; an untracked ``conv2d`` therefore releases free pages first.
 MMAP_THRESHOLD = 8 << 20
 CONV_TILE_BYTES = 16 << 20  # patch-row bytes per untracked conv2d GEMM at most
-COL_BLOCK_BYTES = 2 << 20  # column-gradient bytes per conv2d backward block at most
-SMALL_GEMM = 1_000_000  # OpenBLAS's small-matrix kernel (bits can differ) runs GEMMs up to this many multiply-adds
 try:
     _libc = ctypes.CDLL(None)
     _libc.mallopt(-3, MMAP_THRESHOLD)  # -3 is M_MMAP_THRESHOLD in <malloc.h>
@@ -88,6 +86,7 @@ class _GraphSwitch(threading.local):
 
     recording = True
     checking = True
+    workspace = None  # [buffer] inside conv_workspace
 
 
 _graph = _GraphSwitch()
@@ -116,6 +115,32 @@ def no_graph():
 def recording() -> bool:
     """Whether ops on this thread record a graph: false inside ``no_graph``."""
     return _graph.recording
+
+
+@contextmanager
+def conv_workspace():
+    """In this block, on this thread, ``conv2d`` makes its patch matrices and
+    column gradients, each dead before the next is made, in one buffer grown
+    to the largest and kept until the block ends, not in a fresh mmap each
+    (faulted in page by page, three a training step at 9 MiB). Same bits."""
+    previous, _graph.workspace = _graph.workspace, [np.empty(0)]
+    try:
+        yield
+    finally:
+        _graph.workspace = previous
+
+
+def _scratch(shape) -> np.ndarray:
+    """An uninitialized array of ``shape``: the head of the workspace inside
+    ``conv_workspace`` (only until the next call), else a new array."""
+    ws = _graph.workspace
+    if ws is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if ws[0].size < size:
+        ws[0] = None  # the old buffer freed before the larger one is made
+        ws[0] = np.empty(size)
+    return ws[0][:size].reshape(shape)
 
 
 def deferred_checks(active: bool = True):
@@ -393,16 +418,9 @@ def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(a, shape) -> Tensor:
-    """``a.data.reshape(shape)``. A copying reshape (a conv trunk's NHWC map
-    into ``fc``) returns its gradient copied exactly into the input's layout,
-    in which its producer's backward reads it fastest."""
     a = as_tensor(a)
-    x = a.data
-
-    def grad(g):
-        return g.reshape(x.shape) if x.flags.c_contiguous else np.positive(g.reshape(x.shape), out=np.empty_like(x))
-
-    return _make_pruned(x.reshape(shape), (a,), "reshape", (grad,))
+    in_shape = a.data.shape
+    return _make_pruned(a.data.reshape(shape), (a,), "reshape", (lambda g: g.reshape(in_shape),))
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -435,13 +453,12 @@ def stack(tensors) -> Tensor:
 
 def concat_members(a) -> Tensor:
     """[M, B, C, …] -> [B, M*C, …], the values of ``concat(list(a), axis=1)``,
-    as one node, channels last in memory: a view of an untracked conv2d's
-    side-by-side NHWC buffer, else one copy a 1x1 conv reads as a view."""
+    as one node; a view of conv2d's NHWC buffer over a shared input."""
     a = as_tensor(a)
     if a.ndim < 3:
         raise ConfigurationError("concat_members expects member-major [M, B, C, …] input")
     m, b, c, *rest = a.data.shape
-    out = np.moveaxis(np.moveaxis(a.data, (0, 2), (-2, -1)).reshape(b, *rest, m * c), -1, 1)
+    out = np.moveaxis(a.data, 0, 1).reshape(b, m * c, *rest)
     return _make_pruned(out, (a,), "concat_members", (lambda g: np.moveaxis(g.reshape(b, m, c, *rest), 1, 0),))
 
 
@@ -486,23 +503,20 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     [B, F, H, W]. im2col + GEMM (Chellapilla et al. 2006): the input is padded
     once into an NHWC buffer whose shifted windows form the [B*H*W, kh*kw*C]
     patch matrix, rebuilt by backward from the padded input (a 1x1 kernel reads
-    the input as a view). The output is an NCHW view of member-major NHWC,
-    [M, B, H, W, F], from a batched GEMM (a shared input's members share its
-    patch matrix), except untracked over a shared input: one GEMM against the
-    members' filters side by side, into [B, H, W, M, F], whose channel
-    concatenation (fusion's) is a view. A shared input's weight gradient is
-    that side-by-side GEMM (per member, small batches would reach OpenBLAS's
-    small-matrix kernel). Each member's share gave the bits of its own 2-D GEMM on the BLAS
-    measured (``tools/fixed_seed_diff.py`` checks it). Bias and relu apply in
-    place, so values and gradients are bit-identical to ``relu(conv2d(...))``;
-    with per-op checks on, the pre-activation is checked first, naming
-    ``conv2d``. A constant or input batch gets no gradient; a shared input's is
-    the members' summed in member order. Under ``no_graph`` it first returns
-    the heap's free pages (``release_heap``), then runs the GEMM on blocks of
-    batch rows, at most ``CONV_TILE_BYTES`` of patches each; a recorded forward
-    is one GEMM. The backward makes and col2im's the column gradient in blocks
-    of at most ``COL_BLOCK_BYTES`` (heap, not a fresh mmap each step). Blocks are
-    near-equal, none with a GEMM as small as ``SMALL_GEMM``: the bits of one GEMM.
+    the input as a view). A shared input is one GEMM against the members'
+    filters side by side, [kh*kw*C, M*F]; a member-major one a batched GEMM.
+    Each member's share gave the bits of its own 2-D GEMM, forward and
+    backward, on the BLAS measured (not a guarantee: ``tools/fixed_seed_diff.py``
+    checks it). The output is a member-major NCHW view of the NHWC GEMM output,
+    bias and relu applied in place, so values and gradients are bit-identical
+    to ``relu(conv2d(...))``; with per-op checks on, the pre-activation is
+    checked first, naming ``conv2d``. A constant or input batch gets no
+    gradient; a shared input's is the members' summed in member order. Under
+    ``no_graph`` it first returns the heap's free pages (``release_heap``),
+    then runs the GEMM on blocks of batch rows, at most ``CONV_TILE_BYTES`` of
+    patches each, into the output's rows; a recorded forward is one GEMM.
+    Inside ``conv_workspace`` the patch matrices and the column gradient are
+    made in its one buffer.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride != 1:
@@ -535,24 +549,23 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     else:
         xp = np.zeros((mx, bsz, h + 2 * ph, wd + 2 * pw, cin))
         xp[:, :, ph : ph + h, pw : pw + wd] = xm.transpose(0, 1, 3, 4, 2)
-    # Untracked, a shared input's GEMM runs the members' filters side by side (member m's at
-    # columns m*F..), so fusion reads their channels' concatenation as a view of its output.
-    side_by_side = shared and not _graph.recording
-    wmat = (wm.transpose(3, 4, 2, 0, 1).reshape(1, k, m * f) if side_by_side
-            else wm.transpose(0, 3, 4, 2, 1).reshape(m, k, f))
+    if shared:  # the members' filters side by side: member m's at columns m*F.. of one GEMM
+        wmat = wm.transpose(3, 4, 2, 0, 1).reshape(1, k, m * f)
+    else:
+        wmat = wm.transpose(0, 3, 4, 2, 1).reshape(m, k, f)
     # Near-equal blocks (OpenBLAS's GEMMs of at most 1e6 multiply-adds can differ in bits), the
     # first built before the output as one GEMM's were: one freed atop the heap is trimmed, then refaults.
     rows, hw = max(1, CONV_TILE_BYTES // (mx * h * wd * k * 8)), h * wd  # examples per block
     n = 1 if _graph.recording else -(-max(bsz, 1) // rows)
     cols = _im2col(xp[:, : bsz // n], kh, kw)
-    gemm = np.empty((len(wmat), bsz * hw, wmat.shape[-1]))
+    gemm = np.empty((mx, bsz * hw, wmat.shape[-1]))
     for i in range(n):
         lo, hi = bsz * i // n, bsz * (i + 1) // n
         if i:
             cols = _im2col(xp[:, lo:hi], kh, kw)
         np.matmul(cols, wmat, out=gemm[:, lo * hw : hi * hw])
         del cols  # freed before the next block is built
-    out = gemm.reshape(bsz, h, wd, m, f).transpose(3, 0, 1, 2, 4) if side_by_side else gemm.reshape(m, bsz, h, wd, f)
+    out = gemm.reshape(bsz, h, wd, m, f).transpose(3, 0, 1, 2, 4) if shared else gemm.reshape(m, bsz, h, wd, f)
     if bt is not None:
         out += bt.data.reshape(m, 1, 1, 1, f)
     if relu:
@@ -563,34 +576,29 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
 
     def back(g):
         g2 = (g[None] if one else g).transpose(0, 1, 3, 4, 2)  # [M, B, H, W, F]
-        if shared:  # [B*H*W, M*F]: the members side by side in one weight-gradient GEMM
-            side = g2.transpose(1, 2, 3, 0, 4)
-            if relu:  # masked straight into that layout
-                side = np.multiply(side, out.transpose(1, 2, 3, 0, 4) > 0, out=np.empty(side.shape))
-            side = side.reshape(-1, m * f)
-            gw = (_im2col(xp[0], kh, kw).T @ side).reshape(kh, kw, cin, m, f).transpose(3, 4, 2, 0, 1)
-            gb = side.sum(axis=0).reshape(m, f)
-            g2 = side.reshape(-1, m, f).transpose(1, 0, 2)
+        if relu:
+            g2 = g2 * (out > 0)
+        if shared:
+            g2 = g2.transpose(1, 2, 3, 0, 4).reshape(-1, m * f)  # [B*H*W, M*F], as the GEMM's output
+            gw = (_im2col(xp[0], kh, kw).T @ g2).reshape(kh, kw, cin, m, f).transpose(3, 4, 2, 0, 1)
+            gb = g2.sum(axis=0).reshape(m, f)
+            g2 = g2.reshape(-1, m, f).transpose(1, 0, 2)
+            wt = wmat.reshape(k, m, f).transpose(1, 2, 0)
         else:
-            g2 = (g2 * (out > 0) if relu else g2).reshape(m, -1, f)
+            g2 = g2.reshape(m, -1, f)
             gw = (_im2col(xp, kh, kw).swapaxes(1, 2) @ g2).reshape(m, kh, kw, cin, f)
             gw = gw.transpose(0, 4, 3, 1, 2)
             gb = g2.sum(axis=1)
-        wt = wmat.swapaxes(1, 2)
+            wt = wmat.swapaxes(1, 2)
         grads = [gw[0] if one else gw]
         if bt is not None:
             grads.append(gb[0] if one else gb)
         if need_gx:
+            gcols = np.matmul(g2, wt, out=_scratch((m, bsz * h * wd, k))).reshape(m, bsz, h, wd, kh, kw, cin)
             gxp = np.zeros((m, bsz, h + 2 * ph, wd + 2 * pw, cin))
-            per = max(1, COL_BLOCK_BYTES // (m * hw * k * 8))  # examples per block; none at or below SMALL_GEMM:
-            n = max(1, min(-(-bsz // per), bsz // (SMALL_GEMM // (hw * f * k) + 1)))
-            for i in range(n):  # the column gradient of a block of examples, then its col2im
-                lo, hi = bsz * i // n, bsz * (i + 1) // n
-                gcols = (g2[:, lo * hw : hi * hw] @ wt).reshape(m, hi - lo, h, wd, kh, kw, cin)
-                for u in range(kh):
-                    for v in range(kw):
-                        gxp[:, lo:hi, u : u + h, v : v + wd] += gcols[:, :, :, :, u, v]
-                del gcols  # freed before the next block's
+            for u in range(kh):
+                for v in range(kw):
+                    gxp[:, :, u : u + h, v : v + wd] += gcols[:, :, :, :, u, v]
             gx = gxp[:, :, ph : ph + h, pw : pw + wd].transpose(0, 1, 4, 2, 3)
             if shared:
                 gx = gx[0] if one else gx.sum(axis=0)
@@ -610,11 +618,16 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Patch matrix [..., B*h*w, kh*kw*C] of padded NHWC buffers [..., B, H, W, C],
     (u, v, c) columns.
 
-    One copy of the kh*kw shifted windows, each row made of contiguous
-    channel runs; a 1x1 kernel needs no copy at all.
+    One copy of the kh*kw shifted windows (into ``_scratch``), each row made
+    of contiguous channel runs; a 1x1 kernel needs no copy at all.
     """
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(-3, -2))
-    return np.moveaxis(windows, -3, -1).reshape(*xp.shape[:-4], -1, kh * kw * xp.shape[-1])
+    windows = np.moveaxis(windows, -3, -1)  # [..., B, h, w, kh, kw, C]
+    if kh == kw == 1:
+        return windows.reshape(*xp.shape[:-4], -1, xp.shape[-1])
+    cols = _scratch(windows.shape)
+    np.copyto(cols, windows)
+    return cols.reshape(*xp.shape[:-4], -1, kh * kw * xp.shape[-1])
 
 
 def maxpool2x2(x) -> Tensor:
@@ -624,9 +637,7 @@ def maxpool2x2(x) -> Tensor:
 
     The forward is an elementwise maximum of the four stride-2 slices. The
     backward gives each window's gradient to the first of its slices, in the
-    order (0,0), (0,1), (1,0), (1,1), that holds the window's maximum, writing
-    each slice once, in the input's layout, as g times its routing mask; so an
-    entry not routed to is g * 0, which is -0.0 where g < 0.
+    order (0,0), (0,1), (1,0), (1,1), that holds the window's maximum.
     """
     x = as_tensor(x)
     if x.data.ndim < 3:
@@ -641,13 +652,13 @@ def maxpool2x2(x) -> Tensor:
     )
 
     def back(g):
-        gx = np.empty_like(xd)  # in xd's memory layout; each slice is written once
-        taken = np.zeros(out.shape, dtype=bool)  # windows whose max an earlier slice held
+        gx = np.zeros_like(xd)
+        free = np.ones(out.shape, dtype=bool)
         for i, j in ((0, 0), (0, 1), (1, 0)):
-            hit = np.greater(xd[..., i::2, j::2] == out, taken)
-            np.multiply(g, hit, out=gx[..., i::2, j::2])
-            taken |= hit
-        np.multiply(g, ~taken, out=gx[..., 1::2, 1::2])
+            hit = free & (xd[..., i::2, j::2] == out)
+            gx[..., i::2, j::2] = np.where(hit, g, 0.0)
+            free &= ~hit
+        gx[..., 1::2, 1::2] = np.where(free, g, 0.0)
         return (gx,)
 
     return _make(out, (x,), "maxpool2x2", back)

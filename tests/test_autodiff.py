@@ -360,84 +360,70 @@ def test_conv2d_at_a_training_batch_is_one_block(monkeypatch, x_shape, w_shape, 
     assert np.array_equal(untracked.data, out.data)
 
 
-# Blocked column gradient: conv2d's backward multiplies and col2im's blocks of
-# at most ad.COL_BLOCK_BYTES of column gradient, each GEMM above ad.SMALL_GEMM.
-def _unblocked_conv2d_backward(x, w, out, relu, g):
-    """(gx, gw, gb) of conv2d from one GEMM for the whole column gradient,
-    then col2im: a zero-padded NHWC buffer adding each (u, v) tap's columns
-    in turn. ``out`` is conv2d's output, ``g`` the gradient reaching it."""
-    shared = x.ndim == 4
-    xm = x[None] if shared else x
-    m, f, cin, kh, kw = w.shape
-    bsz, h, wd = xm.shape[1], xm.shape[3], xm.shape[4]
-    xp = np.zeros((len(xm), bsz, h + kh - 1, wd + kw - 1, cin))
-    xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = xm.transpose(0, 1, 3, 4, 2)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.moveaxis(windows, -3, -1).reshape(len(xm), -1, kh * kw * cin)
-    g2 = g.transpose(0, 1, 3, 4, 2)
-    if relu:
-        g2 = g2 * (out.transpose(0, 1, 3, 4, 2) > 0)
-    if shared:
-        g2 = g2.transpose(1, 2, 3, 0, 4).reshape(-1, m * f)
-        gw = (cols[0].T @ g2).reshape(kh, kw, cin, m, f).transpose(3, 4, 2, 0, 1)
-        gb = g2.sum(axis=0).reshape(m, f)
-        g2 = g2.reshape(-1, m, f).transpose(1, 0, 2)
-    else:
-        g2 = g2.reshape(m, -1, f)
-        gw = (cols.swapaxes(1, 2) @ g2).reshape(m, kh, kw, cin, f).transpose(0, 4, 3, 1, 2)
-        gb = g2.sum(axis=1)
-    gcols = (g2 @ w.transpose(0, 3, 4, 2, 1).reshape(m, -1, f).swapaxes(1, 2)).reshape(m, bsz, h, wd, kh, kw, cin)
-    gxp = np.zeros((m, *xp.shape[1:]))
-    for u in range(kh):
-        for v in range(kw):
-            gxp[:, :, u : u + h, v : v + wd] += gcols[:, :, :, :, u, v]
-    gx = gxp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd].transpose(0, 1, 4, 2, 3)
-    return (gx.sum(axis=0) if shared else gx), gw, gb
-
-
-def _col_block_examples(m, cin, size, k):
-    """Examples per block of column gradient: ``COL_BLOCK_BYTES`` over one
-    example's column-gradient bytes, every member's."""
-    return ad.COL_BLOCK_BYTES // (m * size * size * k * k * cin * 8)
+# conv_workspace: conv2d's patch matrices and column gradients in one reused buffer.
+def _conv2d_step(leaves, relu):
+    """Output and (x, w, b) gradients of one recorded conv2d with a fixed
+    upstream gradient."""
+    out = ad.conv2d(*leaves, relu=relu)
+    ad.mul(out, np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)).sum().backward()
+    grads = [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    return out.data, grads
 
 
 @pytest.mark.parametrize("relu", [False, True])
-@pytest.mark.parametrize("batch", ["single", "seven", "block-1", "block", "block+1", "thirty-two"])
+@pytest.mark.parametrize("k", [3, 1])
 @pytest.mark.parametrize("layout", ["shared", "member_major"])
-def test_blocked_conv2d_backward_is_bit_identical_to_one_column_gradient(layout, batch, relu):
-    m, cin, f, size = 2, 32, 64, 8  # conv2 of the benchmark's CNN
-    step = _col_block_examples(m, cin, size, 3)
-    bsz = {"single": 1, "seven": 7, "block-1": step - 1, "block": step, "block+1": step + 1, "thirty-two": 32}[batch]
-    rng = np.random.default_rng(list(f"{layout}{batch}{relu}".encode()))
-    x = rng.normal(size=(bsz, cin, size, size) if layout == "shared" else (m, bsz, cin, size, size))
-    w, b = rng.normal(size=(m, f, cin, 3, 3)), rng.normal(size=(m, f))
-    leaves = [ad.Tensor(a, op="param") for a in (x, w, b)]
-    out = ad.conv2d(*leaves, relu=relu)
-    g = rng.normal(size=out.shape)
-    ad.mul(out, g).sum().backward()
-    ref = _unblocked_conv2d_backward(x, w, out.data, relu, g)
-    for leaf, expected in zip(leaves, ref):
-        assert np.array_equal(leaf.grad, expected)
+def test_conv_workspace_is_bit_identical_and_one_buffer(layout, k, relu):
+    rng = np.random.default_rng(list(f"{layout}{k}{relu}".encode()))
+    x = rng.normal(size=(5, 3, 6, 4) if layout == "shared" else (2, 5, 3, 6, 4))
+    leaves = [ad.Tensor(a, op="param") for a in (x, rng.normal(size=(2, 4, 3, k, k)), rng.normal(size=(2, 4)))]
+    out, grads = _conv2d_step(leaves, relu)
+    with ad.conv_workspace():
+        for _ in range(2):  # the second step reuses the first one's buffer
+            ws_out, ws_grads = _conv2d_step(leaves, relu)
+            assert np.array_equal(ws_out, out)
+            assert all(np.array_equal(a, b) for a, b in zip(ws_grads, grads))
+        # The largest matrix made: the [M, B*H*W, k*k*C] column gradient.
+        assert ad._graph.workspace[0].size == 2 * 5 * 6 * 4 * k * k * 3
+    assert ad._graph.workspace is None
 
 
-def test_recorded_conv2_backward_holds_one_block_of_column_gradient():
-    # conv2 at the benchmark's training batch (B=32, M=2): the weight
-    # gradient's patch rows (9 MiB) and the masked gradient (2 MiB) set the
-    # peak; the whole column gradient (9 MiB) beside the padded input
-    # gradient came to 13.0 MiB.
+def test_conv_workspace_nests_and_restores_on_error():
+    with ad.conv_workspace():
+        outer = ad._graph.workspace
+        with pytest.raises(RuntimeError):
+            with ad.conv_workspace():
+                assert ad._graph.workspace is not outer
+                raise RuntimeError
+        assert ad._graph.workspace is outer
+    assert ad._graph.workspace is None
+
+
+def test_recorded_conv2_in_a_workspace_makes_no_patch_or_column_matrix():
+    # conv2 at the benchmark's training batch (B=32, M=2): its patch matrix
+    # and its column gradient are 9 MiB each. In a workspace a step after the
+    # first makes neither: tracemalloc peaks of 4.1 MiB (forward) and 4.0 MiB
+    # (backward), against 12.8 and 13.0 MiB without one.
     rng = np.random.default_rng(4)
     leaves = [ad.Tensor(rng.normal(size=shape), op="param")
               for shape in ((2, 32, 32, 8, 8), (2, 64, 32, 3, 3), (2, 64))]
-    out = ad.conv2d(*leaves, relu=True)
-    g = rng.normal(size=out.shape)
-    tracemalloc.start()
-    try:
-        grads = out._backward(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with ad.conv_workspace():
+        _conv2d_step(leaves, relu=True)
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(*leaves, relu=True)
+            forward = tracemalloc.get_traced_memory()[1]
+            g = rng.normal(size=out.shape)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            grads = out._backward(g)
+            backward = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
     assert [a.shape for a in grads] == [t.shape for t in leaves]
-    assert peak < 12 * 2**20
+    assert forward < 6 * 2**20 and backward < 6 * 2**20
 
 
 # Member-axis conv2d: each member's share of the one GEMM is its own 4-D call's.
@@ -482,23 +468,13 @@ def test_member_axis_conv2d_slices_equal_per_member_conv2d_bitwise(layout, relu,
 
 
 def test_member_axis_conv2d_over_a_shared_input_is_one_nhwc_buffer():
-    # Untracked, the members' filters run side by side: the output is an NCHW
-    # view of one [B, H, W, M*F] buffer, whose channel concatenation is a view
-    # too. Recorded, the output is member-major NHWC, [M, B, H, W, F], with the
-    # same values, and its concatenation one channels-last copy.
+    # The members' filters run side by side: the output is an NCHW view of
+    # one [B, H, W, M*F] buffer, whose channel concatenation is a view too.
     x = ad.Tensor(RNG.normal(size=(2, 1, 4, 4)), op="input")
-    w, b = ad.Tensor(RNG.normal(size=(3, 5, 1, 3, 3))), ad.Tensor(RNG.normal(size=(3, 5)))
-    with ad.no_graph():
-        out = ad.conv2d(x, w, b)
-        cat = ad.concat_members(out)
+    out = ad.conv2d(x, ad.Tensor(RNG.normal(size=(3, 5, 1, 3, 3))), ad.Tensor(RNG.normal(size=(3, 5))))
+    cat = ad.concat_members(out)
     assert cat.data.base is out.data.base and cat.data.transpose(0, 2, 3, 1).flags.c_contiguous
     assert np.array_equal(cat.data, ad.concat(list(out.data), axis=1).data)
-    recorded = ad.conv2d(x, w, b)
-    assert recorded.data.transpose(0, 1, 3, 4, 2).flags.c_contiguous
-    assert np.array_equal(recorded.data, out.data)
-    cat = ad.concat_members(recorded)
-    assert cat.data.transpose(0, 2, 3, 1).flags.c_contiguous
-    assert np.array_equal(cat.data, ad.concat(list(recorded.data), axis=1).data)
 
 
 def test_member_axis_conv2d_rejects_what_does_not_fit():
@@ -588,53 +564,6 @@ def test_maxpool_ties_route_gradient_to_first_max():
 def test_maxpool_rejects_odd_extents():
     with pytest.raises(ConfigurationError):
         ad.maxpool2x2(ad.Tensor(RNG.normal(size=(1, 1, 5, 4))))
-
-
-def _where_routed_maxpool_grad(x, g):
-    """maxpool2x2's input gradient routed by ``np.where``: each window's
-    gradient to the first of its (0,0), (0,1), (1,0), (1,1) slices holding
-    the maximum, +0.0 everywhere else."""
-    out = np.maximum(np.maximum(x[..., 0::2, 0::2], x[..., 0::2, 1::2]),
-                     np.maximum(x[..., 1::2, 0::2], x[..., 1::2, 1::2]))
-    gx = np.zeros_like(x)
-    free = np.ones(out.shape, dtype=bool)
-    for i, j in ((0, 0), (0, 1), (1, 0)):
-        hit = free & (x[..., i::2, j::2] == out)
-        gx[..., i::2, j::2] = np.where(hit, g, 0.0)
-        free &= ~hit
-    gx[..., 1::2, 1::2] = np.where(free, g, 0.0)
-    return gx
-
-
-def _nhwc_view(a, side_by_side: bool):
-    """``a`` [M, B, C, H, W] as an NCHW view of an NHWC buffer: member-major
-    [M, B, H, W, C], or the members side by side, [B, H, W, M, C]."""
-    if side_by_side:
-        return np.ascontiguousarray(a.transpose(1, 3, 4, 0, 2)).transpose(3, 0, 4, 1, 2)
-    return np.ascontiguousarray(a.transpose(0, 1, 3, 4, 2)).transpose(0, 1, 4, 2, 3)
-
-
-@pytest.mark.parametrize("layout", ["nchw", "members_nchw", "member_major_nhwc", "side_by_side_nhwc"])
-def test_maxpool_backward_routes_as_np_where(layout):
-    # Rounded relu outputs: ties of two to four, and windows all zero after
-    # relu. The routing multiplies by a mask, so an unrouted entry is g * 0:
-    # -0.0 where g < 0, where np.where wrote +0.0. Only that sign may differ.
-    rng = np.random.default_rng(list(layout.encode()))
-    x = np.maximum(np.round(rng.normal(size=(2, 3, 4, 6, 8)), 0), 0.0)
-    x[:, :, 1, :2, :2] = 0.0  # a window of zeros in every map
-    if layout == "nchw":
-        x = x[0]
-    elif layout != "members_nchw":
-        x = _nhwc_view(x, layout == "side_by_side_nhwc")
-    t = ad.Tensor(x, op="param")
-    out = ad.maxpool2x2(t)
-    g = rng.normal(size=out.shape)
-    ad.mul(out, g).sum().backward()
-    ref = _where_routed_maxpool_grad(x, g)
-    assert np.array_equal(t.grad, ref)
-    g_at = np.repeat(np.repeat(g, 2, axis=-2), 2, axis=-1)  # each window's g at its four entries
-    assert np.array_equal(np.signbit(t.grad), np.where(ref == 0, np.signbit(g_at), np.signbit(ref)))
-    assert np.count_nonzero(ref) == g.size  # every window routes once (g has no zeros)
 
 
 # ---------------------------------------------------------------------------

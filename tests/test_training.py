@@ -1,4 +1,6 @@
 """Training loop behavior: gradient scoping, the phase switch, determinism."""
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,18 @@ def test_train_runs_are_byte_identical(arch, method, tmp_path):
             [p.data.tobytes() for p in state.parameters()],
         ))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("fusion", ["none", "module"])
+def test_cnn_training_in_the_conv_workspace_is_bit_identical(fusion, monkeypatch):
+    # train makes its conv matrices in one reused buffer, freed on return;
+    # without it (a no-op context) every parameter has the same bits.
+    cfg = _mlp_cfg("amcl", epochs=3, t_tau=2, batch_size=8, conv_filters=(4, 6, 8), fusion=fusion)
+    params = [[p.data.tobytes() for p in train(BARS, cfg)[0].parameters()]]
+    assert ad._graph.workspace is None
+    monkeypatch.setattr(ad, "conv_workspace", contextlib.nullcontext)
+    params.append([p.data.tobytes() for p in train(BARS, cfg)[0].parameters()])
+    assert params[0] == params[1]
 
 
 @pytest.mark.parametrize("arch,fusion", [("mlp", "none"), ("cnn", "none"), ("cnn", "module")])

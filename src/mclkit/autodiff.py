@@ -41,20 +41,17 @@ from .errors import ConfigurationError, NumericError, StateError
 # evaluation metrics); avoids -inf when a class probability rounds to 0.
 EPS_PROB = 1e-12
 
-# Outside ``deferred_checks()`` every op output, and every gradient backward
-# accumulates into a node other than a constant or input leaf, is checked for
-# finiteness, naming the op that produced a non-finite value. False: no checks.
-FINITE_CHECKS = True
-
-# C-heap policy (glibc only). An evaluation chunk's activations are blocks of
-# 8 MiB and more that live for an op or two. Once one is freed, glibc's dynamic
-# mmap threshold rises and later ones grow the brk heap, whose freed pages stay
-# resident in a layout set by allocation order: peak RSS differed by tens of
-# MiB between runs. Pin the threshold; ``release_heap`` returns free pages.
-# glibc still serves a block of any size from a heap free chunk that fits it,
-# and the freed block stays resident, so the peak of an evaluation pass still
-# moved by 5 to 40 MiB with the heap layout that training and loading left
-# behind; an untracked ``conv2d`` therefore releases free pages first.
+# C-heap policy (glibc only).
+# 1. Importing this module pins malloc's mmap threshold: once an evaluation
+#    block of 8 MiB or more is freed, glibc's dynamic threshold would rise and
+#    later blocks grow the brk heap, whose freed pages stay resident in a
+#    layout set by allocation order (peak RSS moved by tens of MiB).
+# 2. ``release_heap`` returns the heap's free pages. glibc still serves a
+#    block of any size from a free heap chunk that fits, and the freed block
+#    stays resident, so pages freed by earlier layers stayed resident under an
+#    evaluation pass's largest blocks. Two callers: an untracked ``conv2d``,
+#    before its first block of patch rows, and ``ensemble_forward``'s fusion
+#    tail, before it pools the fused features.
 MMAP_THRESHOLD = 8 << 20
 CONV_TILE_BYTES = 16 << 20  # patch-row bytes per untracked conv2d GEMM at most
 try:
@@ -77,7 +74,7 @@ _NO_GRAD_OPS = frozenset({"const", "input"})
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if FINITE_CHECKS and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -664,25 +661,10 @@ def maxpool2x2(x) -> Tensor:
     return _make(out, (x,), "maxpool2x2", back)
 
 
-def _max_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
-    """``x.max(axis, keepdims=True)``; from 64·width rows per slice on, an
-    elementwise maximum of the slices (max is exact: same bits). numpy reduces
-    a short axis row by row; the threshold lies between the measured [3, 32, 4]
-    (numpy faster) and [3, 512, 5] (slices faster), not at a measured crossover."""
-    width = x.shape[axis]
-    if x.size < 64 * width * width:
-        return x.max(axis=axis, keepdims=True)
-    moved = x.swapaxes(axis, 0)
-    out = moved[:1].copy()
-    for i in range(1, width):
-        np.maximum(out, moved[i], out=out)
-    return out.swapaxes(0, axis)
-
-
 def softmax(x, axis=-1) -> Tensor:
     """Max-subtracted softmax along ``axis``; rows sum to 1 within 1e-9."""
     x = as_tensor(x)
-    shifted = x.data - _max_keepdims(x.data, axis)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
 
@@ -703,7 +685,7 @@ def log_softmax(x, axis=-1) -> Tensor:
     x = as_tensor(x)
     if x.data.shape[axis] == 0:
         raise ConfigurationError("log_softmax of an empty axis")
-    shifted = x.data - _max_keepdims(x.data, axis)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
     p = np.exp(shifted)
     z = p.sum(axis=axis, keepdims=True)
     p /= z

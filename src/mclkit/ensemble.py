@@ -107,6 +107,8 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     member's trunk is in memory at a time: the whole trunk when nothing
     mixes features, the part after the tap when something does, from every
     member's pooled features, taken before the member-major tensor is freed.
+    Heap pages are returned by the untracked convs and, once, before the
+    fusion tail pools (``autodiff.release_heap``).
     """
     x = ad.as_tensor(x)
     arch, layer = state.arch, state.layers.__getitem__
@@ -169,10 +171,11 @@ def probability_chunks(state: EnsembleState, features, batch_size: int = EVAL_BA
 
     Each chunk runs the ordinary forward under ``no_graph``: no graph is
     recorded, so activations are freed once consumed, and a conv holds one
-    block of patch rows (``autodiff.CONV_TILE_BYTES``). A CNN chunk holds one
-    member's trunk at a time, and a fusion stage every member's tap until all
-    are pooled. Only the probabilities are checked; a failing chunk reruns
-    with per-op checks, to name the op.
+    block of patch rows (``autodiff.CONV_TILE_BYTES``). The pass itself
+    returns no heap pages (see ``ensemble_forward``). A CNN chunk holds one
+    member's trunk at a time, and a fusion stage every member's tap until
+    all are pooled. Only the probabilities are checked; a failing chunk
+    reruns with per-op checks, to name the op.
     """
     for start in range(0, features.shape[0], batch_size):
         chunk = features[start : start + batch_size]
@@ -182,9 +185,6 @@ def probability_chunks(state: EnsembleState, features, batch_size: int = EVAL_BA
             _chunk_probabilities(state, chunk, deferred=False)
             raise
         yield start, probs
-    # The chunks' freed activations would otherwise stay resident in the heap
-    # and raise the next pass's peak by where they happened to lie.
-    ad.release_heap()
 
 
 def member_probabilities(state: EnsembleState, features, batch_size: int = EVAL_BATCH) -> np.ndarray:

@@ -75,7 +75,6 @@ class FusionModule:
             z = ad.conv2d(cat, self.params["proj.w"], self.params["proj.b"])
         else:
             z = ad.dense(cat, self.params["proj.w"], self.params["proj.b"])
-        del cat  # under no_graph this frees a copied concatenation before the gate
         squeeze = z.mean(axis=(2, 3)) if self.spatial else z
         gate = ad.sigmoid(
             ad.dense(

@@ -175,6 +175,8 @@ class MemberModel:
     ``layers``, read as values (no gradient reaches the layers): [B, …] in,
     [B, …] out. ``params[name].data`` is a writable view of its slot. Nothing
     is cached: the optimizer rebinds every layer to a view of one packed vector.
+    Evaluation runs a CNN member by member through these views to hold one
+    trunk at a time (see ``ensemble_forward``).
     """
 
     def __init__(self, spec: ArchitectureSpec, layers: dict, member_index: int):
@@ -203,9 +205,7 @@ class MemberModel:
             raise ConfigurationError(
                 f"pooled tap shape {tuple(h.shape[1:])} does not match {expected}"
             )
-        held = [h]  # hand the only reference on, so trunk_from_tap can free the features
-        del h
-        return trunk_from_tap(self.spec, self._value, held.pop())
+        return trunk_from_tap(self.spec, self._value, h)
 
 
 def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor:

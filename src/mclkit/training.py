@@ -166,7 +166,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     Deterministic for a fixed config and dataset: shuffling, sharing, and
     parameter init all derive from cfg.seed. ``on_epoch(epoch, state,
     record)`` runs after every completed epoch (checkpoint hooks, progress
-    reporting).
+    reporting). The epochs run inside ``autodiff.conv_workspace``; training
+    returns no heap pages (its convs record a graph, so they do not either).
     """
     if dataset.n_classes < 2:
         raise ConfigurationError("dataset must carry at least two classes")
@@ -209,61 +210,57 @@ def train(dataset: LabeledDataset, cfg: TrainConfig, on_epoch=None):
     seen_probs = np.empty((n, cfg.members, arch.output_dim))
     seen_v = np.empty((n, cfg.members), dtype=np.int64)
 
-    try:
-        with ad.conv_workspace():
-            for epoch in range(1, cfg.epochs + 1):
-                order = shuffle_rng.permutation(n)
-                loss_sum = 0.0
-                phase = "-"
-                for start in range(0, n, cfg.batch_size):
-                    rows = slice(start, start + cfg.batch_size)
-                    idx = order[rows]
-                    x, y = features[idx], labels[idx]
-                    step = (state, optimizer, cfg, epoch, x, y, share_rng, held)
-                    rng_state = share_rng.bit_generator.state
+    with ad.conv_workspace():
+        for epoch in range(1, cfg.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            loss_sum = 0.0
+            phase = "-"
+            for start in range(0, n, cfg.batch_size):
+                rows = slice(start, start + cfg.batch_size)
+                idx = order[rows]
+                x, y = features[idx], labels[idx]
+                step = (state, optimizer, cfg, epoch, x, y, share_rng, held)
+                rng_state = share_rng.bit_generator.state
+                try:
                     try:
-                        try:
-                            grad, logp, terms, v, phase = _step(*step, deferred=True)
-                        except NumericError:
-                            optimizer.zero_grad()
-                            share_rng.bit_generator.state = rng_state
-                            _step(*step, deferred=False)
-                            raise
-                        optimizer.step(grad)
+                        grad, logp, terms, v, phase = _step(*step, deferred=True)
+                    except NumericError:
                         optimizer.zero_grad()
-                    except NumericError as exc:
-                        raise NumericError(
-                            f"epoch {epoch}, batch at example {start}: {exc}"
-                        ) from exc
-                    loss_sum += sum(terms.tolist())
-                    np.exp(logp.transpose(1, 0, 2), out=seen_probs[rows])
-                    seen_v[rows] = v
+                        share_rng.bit_generator.state = rng_state
+                        _step(*step, deferred=False)
+                        raise
+                    optimizer.step(grad)
+                    optimizer.zero_grad()
+                except NumericError as exc:
+                    raise NumericError(
+                        f"epoch {epoch}, batch at example {start}: {exc}"
+                    ) from exc
+                loss_sum += sum(terms.tolist())
+                np.exp(logp.transpose(1, 0, 2), out=seen_probs[rows])
+                seen_v[rows] = v
 
-                y = labels[order]
-                epoch_counts = np.zeros((dataset.n_classes, cfg.members), dtype=np.int64)
-                np.add.at(epoch_counts, y, seen_v)
-                if state.method == "amcl" and epoch <= cfg.t_tau:
-                    losses.accumulate_counts(state.counter, seen_v, y)
-                    state.counter.complete_epoch()
-                    if epoch == cfg.t_tau:
-                        freeze_specialization(state)
-                stripped = strip_auxiliary(seen_probs) if state.has_aux else seen_probs
-                all_wrong = int((stripped.argmax(axis=2) != y[:, None]).all(axis=1).sum())
-                top1_wrong = int((stripped.mean(axis=1).argmax(axis=1) != y).sum())
+            y = labels[order]
+            epoch_counts = np.zeros((dataset.n_classes, cfg.members), dtype=np.int64)
+            np.add.at(epoch_counts, y, seen_v)
+            if state.method == "amcl" and epoch <= cfg.t_tau:
+                losses.accumulate_counts(state.counter, seen_v, y)
+                state.counter.complete_epoch()
+                if epoch == cfg.t_tau:
+                    freeze_specialization(state)
+            stripped = strip_auxiliary(seen_probs) if state.has_aux else seen_probs
+            all_wrong = int((stripped.argmax(axis=2) != y[:, None]).all(axis=1).sum())
+            top1_wrong = int((stripped.mean(axis=1).argmax(axis=1) != y).sum())
 
-                record = EpochRecord(
-                    epoch=epoch,
-                    phase=phase,
-                    train_loss=loss_sum / n,
-                    oracle_error=100.0 * all_wrong / n,
-                    top1_error=100.0 * top1_wrong / n,
-                    assignment_counts=epoch_counts,
-                )
-                train_log.records.append(record)
-                if on_epoch is not None:
-                    on_epoch(epoch, state, record)
-    finally:
-        held.clear()
-        ad.release_heap()
+            record = EpochRecord(
+                epoch=epoch,
+                phase=phase,
+                train_loss=loss_sum / n,
+                oracle_error=100.0 * all_wrong / n,
+                top1_error=100.0 * top1_wrong / n,
+                assignment_counts=epoch_counts,
+            )
+            train_log.records.append(record)
+            if on_epoch is not None:
+                on_epoch(epoch, state, record)
 
     return state, train_log

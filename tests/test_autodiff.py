@@ -595,6 +595,25 @@ def test_softmax_shift_invariance(x, c):
     assert np.abs(a - b).max() <= 1e-9
 
 
+def _slice_wise_max(x, axis):
+    """The class max as an elementwise maximum of the axis's slices."""
+    moved = x.swapaxes(axis, 0)
+    out = moved[:1].copy()
+    for i in range(1, x.shape[axis]):
+        np.maximum(out, moved[i], out=out)
+    return out.swapaxes(0, axis)
+
+
+def test_log_softmax_is_bit_identical_with_a_slice_wise_max():
+    # The max is exact, so numpy's row-by-row reduction and the slice-wise
+    # maximum give the same log-probabilities, ties and saturation included.
+    x = np.random.default_rng(7).normal(scale=20.0, size=(3, 512, 5))
+    x[0, :64, 1] = x[0, :64, 3]
+    shifted = x - _slice_wise_max(x, -1)
+    want = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    assert np.array_equal(ad.log_softmax(ad.Tensor(x), axis=-1).data, want)
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------

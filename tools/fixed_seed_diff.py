@@ -29,13 +29,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-# The test and OOD sets are large enough that their evaluation chunks take
-# the slice-wise softmax max of ``autodiff._max_keepdims`` on both archs.
+# The test sets hold 600 examples: one full 512-example evaluation chunk and a
+# partial second one, so a change to evaluation chunking or memory handling
+# that moves bits shows up on both archs.
 MLP_DATA = "blobs:classes=4,per_class=48,dim=16,seed=3"
-MLP_TEST = "blobs:classes=4,per_class=32,dim=16,seed=4"
+MLP_TEST = "blobs:classes=4,per_class=150,dim=16,seed=4"
 MLP_OOD = "blobs:classes=4,per_class=16,dim=16,seed=5"
 CNN_DATA = "bars:classes=2,per_class=24,size=16,seed=3"
-CNN_TEST = "bars:classes=2,per_class=64,size=16,seed=4"
+CNN_TEST = "bars:classes=2,per_class=300,size=16,seed=4"
 CNN_OOD = "bars:classes=2,per_class=48,size=16,seed=5"
 
 MLP = ["--arch", "mlp", "--hidden", "32,16", "--members", "3", "--epochs", "6", "--t-tau", "3",

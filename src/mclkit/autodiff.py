@@ -12,10 +12,12 @@ keeps no activations alive; inside ``deferred_checks()`` they check no
 finiteness. Ensemble members share one graph through a leading member axis:
 parameters are stored [M, …]; ``matmul``, ``dense`` and ``conv2d`` take
 [M, …] operands over a shared or member-major input, ``maxpool2x2`` pools
-any leading shape, ``concat_members``, ``add_members`` and
-``permute_members`` move features between members, and ``stack`` joins
-per-member results. Each layer is one node: ``dense`` (matmul, bias and relu) and
-``conv2d`` (convolution, bias and relu) run, forward and backward, the same
+any leading shape, and ``concat_members``, ``add_members`` and
+``permute_members`` move features between members. Training and evaluation
+run the same member-axis ops; evaluation runs a CNN chunk in tiles of batch
+rows (``ensemble.ensemble_forward``), so each op sees a tile there. Each
+layer is one node: ``dense`` (matmul, bias and relu) and ``conv2d``
+(convolution, bias and relu) run, forward and backward, the same
 numpy expressions in the same order as the chains of ops they stand for, so
 their values and gradients are bit-identical to those chains'; only the
 per-node graph overhead and the separate activation copies are saved. The
@@ -41,31 +43,17 @@ from .errors import ConfigurationError, NumericError, StateError
 # evaluation metrics); avoids -inf when a class probability rounds to 0.
 EPS_PROB = 1e-12
 
-# C-heap policy (glibc only).
-# 1. Importing this module pins malloc's mmap threshold: once an evaluation
-#    block of 8 MiB or more is freed, glibc's dynamic threshold would rise and
-#    later blocks grow the brk heap, whose freed pages stay resident in a
-#    layout set by allocation order (peak RSS moved by tens of MiB).
-# 2. ``release_heap`` returns the heap's free pages. glibc still serves a
-#    block of any size from a free heap chunk that fits, and the freed block
-#    stays resident, so pages freed by earlier layers stayed resident under an
-#    evaluation pass's largest blocks. Two callers: an untracked ``conv2d``,
-#    before its first block of patch rows, and ``ensemble_forward``'s fusion
-#    tail, before it pools the fused features.
+# C-heap policy (glibc only): importing this module pins malloc's mmap
+# threshold. Once a block of 8 MiB or more is freed, glibc's dynamic threshold
+# would rise and later blocks grow the brk heap, whose freed pages stay
+# resident in a layout set by allocation order (peak RSS moved by tens of
+# MiB). An evaluation pass makes no block that large: ``ensemble_forward``
+# sizes its tiles so that a tile's patch matrices stay below it.
 MMAP_THRESHOLD = 8 << 20
-CONV_TILE_BYTES = 16 << 20  # patch-row bytes per untracked conv2d GEMM at most
 try:
-    _libc = ctypes.CDLL(None)
-    _libc.mallopt(-3, MMAP_THRESHOLD)  # -3 is M_MMAP_THRESHOLD in <malloc.h>
-    _malloc_trim = _libc.malloc_trim
+    ctypes.CDLL(None).mallopt(-3, MMAP_THRESHOLD)  # -3 is M_MMAP_THRESHOLD in <malloc.h>
 except (AttributeError, OSError, TypeError):
-    _malloc_trim = None
-
-
-def release_heap() -> None:
-    """Return every free page of the C heap to the OS (glibc ``malloc_trim``)."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
+    pass
 
 
 # Leaf ops of tensors that need no gradient: ``as_tensor`` constants and the
@@ -436,18 +424,6 @@ def concat(tensors, axis=0) -> Tensor:
     return _make_pruned(out, ts, "concat", [part(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
 
 
-def stack(tensors) -> Tensor:
-    """Equally shaped tensors joined along a new leading (member) axis."""
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ConfigurationError("stack of an empty sequence")
-    shapes = {t.data.shape for t in ts}
-    if len(shapes) != 1:
-        raise ConfigurationError(f"stack shapes differ: {sorted(shapes)}")
-    grad_fns = [lambda g, i=i: g[i] for i in range(len(ts))]
-    return _make_pruned(np.stack([t.data for t in ts]), ts, "stack", grad_fns)
-
-
 def concat_members(a) -> Tensor:
     """[M, B, C, …] -> [B, M*C, …], the values of ``concat(list(a), axis=1)``,
     as one node; a view of conv2d's NHWC buffer over a shared input."""
@@ -508,12 +484,11 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     bias and relu applied in place, so values and gradients are bit-identical
     to ``relu(conv2d(...))``; with per-op checks on, the pre-activation is
     checked first, naming ``conv2d``. A constant or input batch gets no
-    gradient; a shared input's is the members' summed in member order. Under
-    ``no_graph`` it first returns the heap's free pages (``release_heap``),
-    then runs the GEMM on blocks of batch rows, at most ``CONV_TILE_BYTES`` of
-    patches each, into the output's rows; a recorded forward is one GEMM.
-    Inside ``conv_workspace`` the patch matrices and the column gradient are
-    made in its one buffer.
+    gradient; a shared input's is the members' summed in member order. One
+    GEMM per call, recorded or not: evaluation bounds its patch matrices by
+    running a chunk in tiles of batch rows (``ensemble_forward``). Inside
+    ``conv_workspace`` the patch matrices and the column gradient are made in
+    its one buffer.
     """
     x, w = as_tensor(x), as_tensor(w)
     if stride != 1:
@@ -537,8 +512,6 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
     if bt is not None and bt.data.shape != w.data.shape[:-3]:
         raise ConfigurationError("conv2d bias must have one entry per filter")
 
-    if not _graph.recording:
-        release_heap()
     ph, pw = kh // 2, kw // 2
     k = kh * kw * cin
     if ph == pw == 0:  # a 1x1 kernel reads the input unpadded, as an NHWC view
@@ -550,18 +523,7 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
         wmat = wm.transpose(3, 4, 2, 0, 1).reshape(1, k, m * f)
     else:
         wmat = wm.transpose(0, 3, 4, 2, 1).reshape(m, k, f)
-    # Near-equal blocks (OpenBLAS's GEMMs of at most 1e6 multiply-adds can differ in bits), the
-    # first built before the output as one GEMM's were: one freed atop the heap is trimmed, then refaults.
-    rows, hw = max(1, CONV_TILE_BYTES // (mx * h * wd * k * 8)), h * wd  # examples per block
-    n = 1 if _graph.recording else -(-max(bsz, 1) // rows)
-    cols = _im2col(xp[:, : bsz // n], kh, kw)
-    gemm = np.empty((mx, bsz * hw, wmat.shape[-1]))
-    for i in range(n):
-        lo, hi = bsz * i // n, bsz * (i + 1) // n
-        if i:
-            cols = _im2col(xp[:, lo:hi], kh, kw)
-        np.matmul(cols, wmat, out=gemm[:, lo * hw : hi * hw])
-        del cols  # freed before the next block is built
+    gemm = np.matmul(_im2col(xp, kh, kw), wmat)
     out = gemm.reshape(bsz, h, wd, m, f).transpose(3, 0, 1, 2, 4) if shared else gemm.reshape(m, bsz, h, wd, f)
     if bt is not None:
         out += bt.data.reshape(m, 1, 1, 1, f)

@@ -1,5 +1,6 @@
-"""Ensemble state: the member-axis layers and their one-member evaluation
-views, optional fusion, and assignment memory."""
+"""Ensemble state: the member-axis layers and their one-member views,
+optional fusion, and assignment memory; the forward and the evaluation
+chunk loop."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ from . import autodiff as ad
 from .errors import ConfigurationError, NumericError
 from .fusion import FusionModule, feature_share
 from .losses import AssignmentCounter, SpecializationMatrix
-from .models import ArchitectureSpec, MemberModel, init_member, stack_layers, trunk_from_tap, trunk_to_tap
+from .models import ArchitectureSpec, MemberModel, features_from_tap, head, init_member, stack_layers, trunk_to_tap
 
 METHODS = ("ie", "smcl", "cmcl", "amcl")
 FUSION_MODES = ("none", "module", "share")
@@ -20,7 +21,7 @@ EVAL_BATCH = 512  # examples per evaluation forward
 @dataclass
 class EnsembleState:
     """``layers`` maps each layer to its [M, …] parameter tensor; ``members``
-    are the one-member evaluation views of its slots."""
+    are the one-member views of its slots."""
 
     method: str
     layers: dict
@@ -102,33 +103,56 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
 
     One body over the ensemble's [M, …] layers: the trunk to the tap, the
     mixing stage (the fusion module, or feature sharing, which shuffles only
-    during training), then the trunk from the tap. Under ``no_graph`` a CNN
-    runs its trunk one member at a time, on its ``MemberModel`` view, so one
-    member's trunk is in memory at a time: the whole trunk when nothing
-    mixes features, the part after the tap when something does, from every
-    member's pooled features, taken before the member-major tensor is freed.
-    Heap pages are returned by the untracked convs and, once, before the
-    fusion tail pools (``autodiff.release_heap``).
+    during training), then the features from the tap (a CNN's pooled first)
+    and the head. Under ``no_graph`` outside training, a CNN batch of more
+    than one tile (``_tiles``) runs its body in near-equal tiles of batch
+    rows inside one ``autodiff.conv_workspace``, each tile's features
+    written into one [M, B, …] array, and the head once on the whole batch:
+    the head's GEMM is small enough that its bits can change with its rows,
+    a tile's convs are not.
     """
-    x = ad.as_tensor(x)
+    x, arch, layer = ad.as_tensor(x), state.arch, state.layers.__getitem__
+    tiles = 1 if ad.recording() or train_mode else _tiles(state, x)
+    if tiles == 1:
+        return head(arch, layer, _body(state, x, train_mode, share_rng))
+    bsz = x.shape[0]
+    with ad.conv_workspace():
+        for i in range(tiles):
+            lo, hi = bsz * i // tiles, bsz * (i + 1) // tiles
+            part = _body(state, x.data[lo:hi], False, None).data
+            if not i:
+                feats = np.empty((part.shape[0], bsz, *part.shape[2:]))
+            feats[:, lo:hi] = part
+    return head(arch, layer, ad.as_tensor(feats))
+
+
+def _body(state: EnsembleState, x, train_mode: bool, share_rng) -> ad.Tensor:
+    """The head's input [M, B, …]: trunk to the tap, mixing stage, features."""
     arch, layer = state.arch, state.layers.__getitem__
-    mixes = state.fusion_mode == "module" or (state.fusion_mode == "share" and train_mode)
-    per_member = arch.kind == "simple_cnn" and not ad.recording()
-    if per_member and not mixes:
-        return ad.stack([m.forward_from_tap(ad.maxpool2x2(m.forward_to_tap(x))) for m in state.members])
     feats = trunk_to_tap(arch, layer, x)
     if state.fusion_mode == "module":
         feats = state.fusion.member_features(feats)
-    elif mixes:
+    elif state.fusion_mode == "share" and train_mode:
         if share_rng is None:
             raise ConfigurationError("feature sharing needs a seeded generator")
         feats = feature_share(feats, p_share=state.p_share, rng=share_rng)
-    if not per_member:
-        return trunk_from_tap(arch, layer, ad.maxpool2x2(feats) if arch.kind == "simple_cnn" else feats)
-    ad.release_heap()  # the fused tensor's freed pages, before the pooled features are made
-    parts = [ad.maxpool2x2(f) for f in reversed(feats.data)]  # a quarter of a tap each
-    del feats
-    return ad.stack([m.forward_from_tap(parts.pop()) for m in state.members])
+    return features_from_tap(arch, layer, ad.maxpool2x2(feats) if arch.kind == "simple_cnn" else feats)
+
+
+def _tiles(state: EnsembleState, x: ad.Tensor) -> int:
+    """Tiles of an untracked forward of the batch ``x``: each holds at most
+    the most examples whose conv patch matrices, over all members, stay below
+    ``autodiff.MMAP_THRESHOLD`` (conv2's decides at the workloads' shapes: 28
+    examples at M=2, 18 at M=3), so each tile reuses one heap buffer. An MLP
+    makes no patch matrix: one tile, as is a batch ``trunk_to_tap`` rejects."""
+    arch = state.arch
+    if arch.kind != "simple_cnn" or x.ndim != 4:
+        return 1
+    members = state.layers["conv1.w"].shape[0]
+    c, h, w = arch.input_shape
+    per_example = max((1 if i == 0 else members) * (h >> i) * (w >> i) * 9 * cin * 8
+                      for i, cin in enumerate((c, *arch.conv_filters[:2])))  # conv1's input is shared
+    return max(1, -(-x.shape[0] // max(1, (ad.MMAP_THRESHOLD - 1) // per_example)))
 
 
 def _class_major_softmax(logits: np.ndarray) -> np.ndarray:
@@ -170,12 +194,11 @@ def probability_chunks(state: EnsembleState, features, batch_size: int = EVAL_BA
     ``start`` on, ``probs`` being the members' class-major softmax [W, M, B].
 
     Each chunk runs the ordinary forward under ``no_graph``: no graph is
-    recorded, so activations are freed once consumed, and a conv holds one
-    block of patch rows (``autodiff.CONV_TILE_BYTES``). The pass itself
-    returns no heap pages (see ``ensemble_forward``). A CNN chunk holds one
-    member's trunk at a time, and a fusion stage every member's tap until
-    all are pooled. Only the probabilities are checked; a failing chunk
-    reruns with per-op checks, to name the op.
+    recorded, so activations are freed once consumed. A CNN chunk runs the
+    training body over all members in tiles of batch rows, each tile's patch
+    matrices below ``autodiff.MMAP_THRESHOLD``, and the head once (see
+    ``ensemble_forward``); an MLP chunk is one tile. Only the probabilities
+    are checked; a failing chunk reruns with per-op checks, to name the op.
     """
     for start in range(0, features.shape[0], batch_size):
         chunk = features[start : start + batch_size]

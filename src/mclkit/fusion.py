@@ -99,7 +99,9 @@ class FusionModule:
         """fuse + inject: member-major taps [M, B, …] to features [M, B, …].
         Under ``no_graph`` the inject adds into the taps' own buffer and
         returns them, so a caller hands its taps over: one buffer of every
-        member's features fewer at the peak."""
+        member's features fewer at the peak, and no fresh blocks for each
+        evaluation tile to fault in (48k minor faults a pass, not 4-5k;
+        ``cnn-bars-fusion`` evaluation ran 23% slower without)."""
         taps = ad.as_tensor(taps)
         fused = self.fuse(taps)
         if ad.recording():

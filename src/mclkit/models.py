@@ -7,11 +7,11 @@ combine them across members.
 
 The ensemble owns each layer's weight and bias as one ``param`` tensor with
 a leading member axis [M, …] (the BatchEnsemble layout, Wen et al. 2020).
-Both trunks run every member as one tensor: ``trunk_to_tap`` and
-``trunk_from_tap`` take a ``param(name)`` lookup, and run one member-axis
-node per layer over the ensemble's layers. A ``MemberModel`` is the
-one-member evaluation view: it runs the same two functions on one member's
-slices, read as values.
+Both trunks run every member as one tensor: ``trunk_to_tap``, then
+``features_from_tap`` and ``head``, take a ``param(name)`` lookup and run one
+member-axis node per layer over the ensemble's layers. The head is apart so
+that evaluation can run the features in tiles of batch rows and the head
+once. A ``MemberModel`` is the one-member view of the layers.
 """
 from __future__ import annotations
 
@@ -151,12 +151,22 @@ def trunk_to_tap(spec: ArchitectureSpec, param, x) -> ad.Tensor:
     return mlp_layers(spec, param, x, 1, 1)
 
 
-def trunk_from_tap(spec: ArchitectureSpec, param, h) -> ad.Tensor:
-    """Logits from the taps, a CNN's max-pooled, ``param`` as in ``trunk_to_tap``."""
+def features_from_tap(spec: ArchitectureSpec, param, h) -> ad.Tensor:
+    """The head's input from the taps, a CNN's max-pooled (conv2, pool, conv3
+    and pool, or an MLP's hidden layers after the first), ``param`` as in
+    ``trunk_to_tap``. Example by example: rows can run in separate calls."""
     if spec.kind != "simple_cnn":
-        return mlp_layers(spec, param, h, 2)
+        return mlp_layers(spec, param, h, 2, len(spec.hidden_sizes))
     for i in (2, 3):
         h = ad.maxpool2x2(_conv_relu(h, param, i))
+    return h
+
+
+def head(spec: ArchitectureSpec, param, h) -> ad.Tensor:
+    """Logits from ``features_from_tap``'s output: ``fc`` on a CNN's
+    flattened features, or an MLP's ``head`` layer."""
+    if spec.kind != "simple_cnn":
+        return mlp_layers(spec, param, h, len(spec.hidden_sizes) + 1)
     h = ad.reshape(h, (*h.shape[:-3], -1))
     return ad.dense(h, param("fc.w"), param("fc.b"))
 
@@ -168,15 +178,16 @@ def _conv_relu(h, param, i: int) -> ad.Tensor:
 
 
 class MemberModel:
-    """Member ``member_index`` of an ensemble, as a one-member evaluation view.
+    """Member ``member_index`` of an ensemble, as a one-member view.
 
+    ``params[name].data`` is a writable view of its slot; checkpoints and the
+    CLI read and write a member's parameters through it. Nothing is cached:
+    the optimizer rebinds every layer to a view of one packed vector.
     ``forward_to_tap``/``forward_from_tap`` (from the taps, a CNN's max-pooled)
-    run the trunk functions on this member's slices of the ensemble's [M, …]
-    ``layers``, read as values (no gradient reaches the layers): [B, …] in,
-    [B, …] out. ``params[name].data`` is a writable view of its slot. Nothing
-    is cached: the optimizer rebinds every layer to a view of one packed vector.
-    Evaluation runs a CNN member by member through these views to hold one
-    trunk at a time (see ``ensemble_forward``).
+    run the trunk functions on this member's slices, read as values (no
+    gradient reaches the layers): [B, …] in, [B, …] out. Neither training nor
+    evaluation calls them (both run the [M, …] layers); they are kept for the
+    benchmark's tracer, which wraps ``forward_to_tap`` by name.
     """
 
     def __init__(self, spec: ArchitectureSpec, layers: dict, member_index: int):
@@ -205,7 +216,7 @@ class MemberModel:
             raise ConfigurationError(
                 f"pooled tap shape {tuple(h.shape[1:])} does not match {expected}"
             )
-        return trunk_from_tap(self.spec, self._value, h)
+        return head(self.spec, self._value, features_from_tap(self.spec, self._value, h))
 
 
 def mlp_layers(spec, param, h, first: int, last: int | None = None) -> ad.Tensor:

@@ -14,6 +14,13 @@ import mclkit.autodiff as ad
 from mclkit.losses import assign_top_k
 
 
+def stack(members):
+    """Equally shaped per-member tensors joined member-major [M, …], as a
+    ``reshape`` per member and one ``concat``: the values of ``np.stack``,
+    and each member's gradient is its slice of the stacked one."""
+    return ad.concat([ad.reshape(t, (1, *t.shape)) for t in members], axis=0)
+
+
 def _aux_ce(logp):
     return ad.nll(logp, logp.shape[-1] - 1)
 

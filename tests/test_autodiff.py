@@ -217,19 +217,7 @@ def test_conv2d_computes_no_gradient_into_input_batches(x_op):
     np.testing.assert_allclose(b.grad, gb, **CONV_TOL)
 
 
-def test_untracked_conv2d_returns_free_heap_pages_before_its_patch_matrix(monkeypatch):
-    x_data, w, b, _ = _conv_case(1, 4, 6, 3)
-    calls = []
-    monkeypatch.setattr(ad, "_malloc_trim", calls.append)
-    recorded = ad.conv2d(x_data, w, b, relu=True)
-    assert calls == []
-    with ad.no_graph():
-        untracked = ad.conv2d(x_data, w, b, relu=True)
-    assert calls == [0]
-    assert np.array_equal(untracked.data, recorded.data)
-
-
-# Batch-tiled conv2d: blocks of patch rows of at most ad.CONV_TILE_BYTES each.
+# Evaluation runs conv2d on tiles of batch rows (ensemble_forward), each one GEMM.
 def _one_gemm_conv2d(x, w, b, relu):
     """The untiled forward: one patch matrix for the whole batch and one GEMM
     (per member for a member-major input), bias and relu on its NHWC output."""
@@ -255,11 +243,17 @@ def _one_gemm_conv2d(x, w, b, relu):
 
 
 def _tile_examples(x_shape, k):
-    """Examples per block of patch rows: ``CONV_TILE_BYTES`` over one
-    example's patch bytes (every member's, for a member-major input)."""
+    """Examples per evaluation tile if this conv decided it: the most whose
+    patch bytes (every member's, for a member-major input) stay below
+    ``MMAP_THRESHOLD``, as ``ensemble._tiles`` sizes them."""
     members = x_shape[0] if len(x_shape) == 5 else 1
     cin, h, w = x_shape[-3:]
-    return ad.CONV_TILE_BYTES // (members * h * w * k * k * cin * 8)
+    return (ad.MMAP_THRESHOLD - 1) // (members * h * w * k * k * cin * 8)
+
+
+def _near_equal_tiles(bsz, step):
+    tiles = -(-bsz // step)
+    return [(bsz * i // tiles, bsz * (i + 1) // tiles) for i in range(tiles)]
 
 
 def _counting_im2col(monkeypatch):
@@ -276,7 +270,7 @@ def _counting_im2col(monkeypatch):
 
 # (kernel rank, input rank) of one member's kernel, member kernels over a
 # shared input, and member kernels over member-major inputs; (C, H, k) with
-# one example's patch rows large enough that blocks hold few examples.
+# one example's patch rows large enough that tiles hold few examples.
 CONV_TILE_LAYOUTS = {"one": (4, 4), "shared": (5, 4), "member_major": (5, 5)}
 CONV_TILE_SHAPES = {3: (32, 16), 1: (64, 32)}
 
@@ -296,46 +290,34 @@ def test_tiled_conv2d_is_bit_identical_to_one_gemm(monkeypatch, layout, k, batch
     w = rng.normal(size=((m,) if w_rank == 5 else ()) + (f, cin, k, k))
     b = rng.normal(size=w.shape[:-3])
     calls = _counting_im2col(monkeypatch)
+    tiles = _near_equal_tiles(bsz, step)
     for bias in (None, b):
         for relu in (False, True):
             with ad.no_graph():
-                out = ad.conv2d(x, w, bias, relu=relu).data
+                parts = [ad.conv2d(x[..., lo:hi, :, :, :], w, bias, relu=relu).data for lo, hi in tiles]
+            out = np.concatenate(parts, axis=parts[0].ndim - 4)
             assert np.array_equal(out, _one_gemm_conv2d(x, w, bias, relu))
             assert relu is False or 0 < np.count_nonzero(out) < out.size
     blocks = [bsz] if bsz <= step else [bsz // 2, bsz - bsz // 2]  # near-equal
-    assert calls == blocks * 4
+    assert calls == blocks * 4  # one patch matrix per call
 
 
 @pytest.mark.parametrize("relu", [False, True])
 def test_tiled_conv2d_names_itself_on_a_minus_infinity_in_a_later_block(relu):
+    # The checked pre-activation of the second tile: relu would hide the -inf.
     cin, size = CONV_TILE_SHAPES[3]
-    bsz = _tile_examples((1, cin, size, size), 3) + 1  # two blocks
-    x = RNG.normal(size=(bsz, cin, size, size))
-    x[-1, 0] = 1e200  # the last example: in the second block
+    step = _tile_examples((1, cin, size, size), 3)
+    x = RNG.normal(size=(step + 1, cin, size, size))
+    x[-1, 0] = 1e200  # the last example: in the second tile
     w = RNG.normal(size=(4, cin, 3, 3))
     w[:, 0] = -1e200
+    (lo, mid), (_, hi) = _near_equal_tiles(step + 1, step)
     with np.errstate(over="ignore", invalid="ignore"), ad.no_graph():
+        assert np.isfinite(ad.conv2d(x[lo:mid], w, relu=relu).data).all()
         with pytest.raises(NumericError, match="op 'conv2d'"):
-            ad.conv2d(x, w, relu=relu)
+            ad.conv2d(x[mid:hi], w, relu=relu)
         x[-1, 0] = 1.0
-        assert np.isfinite(ad.conv2d(x, w, relu=relu).data).all()
-
-
-def test_untracked_conv2d_at_an_evaluation_chunk_holds_one_block_of_patches():
-    # conv2 of one member at the 512-example evaluation chunk: its whole
-    # patch matrix, [32768, 288], is 75 MB; the padded input, the output and
-    # one block of patch rows come to about 45 MB.
-    rng = np.random.default_rng(2)
-    x, w, b = rng.normal(size=(512, 32, 8, 8)), rng.normal(size=(64, 32, 3, 3)), rng.normal(size=64)
-    tracemalloc.start()
-    try:
-        with ad.no_graph():
-            out = ad.conv2d(x, w, b, relu=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (512, 64, 8, 8)
-    assert peak < 50 * 2**20
+        assert np.isfinite(ad.conv2d(x[mid:hi], w, relu=relu).data).all()
 
 
 @pytest.mark.parametrize("bsz", [32, 64])  # the benchmark's training batch; TrainConfig's default
@@ -345,8 +327,8 @@ def test_untracked_conv2d_at_an_evaluation_chunk_holds_one_block_of_patches():
     ((2, 64, 4, 4), (2, 128, 64, 3, 3)),  # conv3, member-major
 ])
 def test_conv2d_at_a_training_batch_is_one_block(monkeypatch, x_shape, w_shape, bsz):
-    # A recorded forward is one GEMM at any batch; at B=64, M=2, conv2's
-    # patches (18.9 MB) are past the budget, so untracked it splits.
+    # conv2d is one GEMM at any batch, recorded or not: evaluation bounds
+    # its patch matrices by tiling the batch above the op.
     x_shape = (*x_shape[:-3], bsz, *x_shape[-3:]) if len(x_shape) == 4 else (bsz, *x_shape)
     calls = _counting_im2col(monkeypatch)
     x = ad.Tensor(RNG.normal(size=x_shape), op="param")
@@ -356,7 +338,7 @@ def test_conv2d_at_a_training_batch_is_one_block(monkeypatch, x_shape, w_shape, 
     assert out.parents
     with ad.no_graph():
         untracked = ad.conv2d(x, w, relu=True)
-    assert len(calls) - 1 == -(-bsz // _tile_examples(x_shape, 3))
+    assert calls == [bsz, bsz]
     assert np.array_equal(untracked.data, out.data)
 
 
@@ -511,7 +493,7 @@ def test_concat_members_and_add_members_are_bit_identical_to_per_member_chains()
                   ad.mul(ad.add_members(t, s), probe).sum())
     loss.backward()
     ts, s2 = [ad.Tensor(a.copy(), op="param") for a in taps], ad.Tensor(shared.copy(), op="param")
-    feats = ad.stack([ad.add(s2, tm) for tm in ts])
+    feats = objective_reference.stack([ad.add(s2, tm) for tm in ts])
     ref = ad.add(ad.mul(ad.concat(ts, axis=1), probe_cat).sum(), ad.mul(feats, probe).sum())
     ref.backward()
     assert np.array_equal(ad.add_members(t, s).data, feats.data)
@@ -721,7 +703,6 @@ def test_constant_operands_are_recorded_as_no_parent():
     assert ad.matmul(ad.as_tensor(const.T), x).parents == (x,)
     assert ad.concat([const, x], axis=0).parents == (x,)
     assert ad.reshape(const, (3, 2)).parents == ()
-    assert ad.stack([x, const]).parents == (x,)
 
 
 def test_closures_compute_no_gradient_for_constant_operands():
@@ -981,13 +962,6 @@ def test_matmul_rejects_bad_member_axes():
         ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 5))))
 
 
-def test_stack_rejects_empty_and_mismatched_inputs():
-    with pytest.raises(ConfigurationError):
-        ad.stack([])
-    with pytest.raises(ConfigurationError):
-        ad.stack([ad.Tensor(np.ones(2)), ad.Tensor(np.ones(3))])
-
-
 # ---------------------------------------------------------------------------
 # deferred finite checks
 # ---------------------------------------------------------------------------
@@ -1199,11 +1173,6 @@ def _fd_case(name):
         probe = np.array([1.5, -0.5])
         terms = lambda: ad.assigned_nll(logp, [0, 2, 1, 2, 0], on, penalty, 0.75)[0]
         return lambda: ad.mul(terms(), probe).sum(), [logp]
-    if name == "stack":
-        a = ad.Tensor(rng.normal(size=(2, 3)), op="param")
-        b = ad.Tensor(rng.normal(size=(2, 3)), op="param")
-        probe = rng.normal(size=(2, 2, 3))
-        return lambda: ad.mul(ad.stack([a, b]), probe).sum(), [a, b]
     if name == "conv2d_members":  # member-major input, [M, F, C, kh, kw] kernels, relu
         x = ad.Tensor(rng.normal(size=(2, 2, 2, 4, 4)), op="param")
         w = ad.Tensor(rng.normal(size=(2, 3, 2, 3, 3)), op="param")
@@ -1243,7 +1212,7 @@ def _fd_case(name):
         a = ad.Tensor(rng.normal(size=(3, 4)), op="param")
         b = ad.Tensor(rng.normal(size=(3, 4)), op="param")
         probe = rng.normal(size=(2, 3))
-        return lambda: ad.mul(ad.nll(ad.log_softmax(ad.stack([a, b])), [1, 1, 2]), probe).sum(), [a, b]
+        return lambda: ad.mul(ad.nll(ad.log_softmax(objective_reference.stack([a, b])), [1, 1, 2]), probe).sum(), [a, b]
     if name == "kl_uniform":
         x = ad.Tensor(rng.normal(size=(3, 4)), op="param")
         return lambda: objective_reference._kl_uniform(ad.log_softmax(x)).sum(), [x]
@@ -1275,7 +1244,6 @@ def rng2_const(x):
         "kl_uniform_to",
         "assigned_nll",
         "assigned_nll_uniform",
-        "stack",
         "conv2d_members",
         "conv2d_members_shared",
         "maxpool_members",

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 import mclkit.autodiff as ad
+import mclkit.ensemble as ensemble
 from mclkit.data import load_checkpoint, save_checkpoint
 from mclkit.ensemble import build_ensemble, ensemble_forward, member_probabilities
 from mclkit.errors import NumericError
 from mclkit.models import ArchitectureSpec
 
+import eval_reference
+
 RNG = np.random.default_rng(515)
 
 CNN = ArchitectureSpec(kind="simple_cnn", input_shape=(1, 16, 16), n_classes=2)
+# Tiles of 227 examples at M=2 and 151 at M=3: a recorded forward over 512 stays small.
+SMALL_CNN = ArchitectureSpec(kind="simple_cnn", input_shape=(1, 16, 16), n_classes=2, conv_filters=(4, 8, 16))
 MLP = ArchitectureSpec(kind="mlp", input_shape=(8,), n_classes=3, hidden_sizes=(16, 16))
 
 
@@ -66,41 +71,100 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+def _tile_examples(members):
+    """Examples per evaluation tile of ``SMALL_CNN``: conv2's patch bytes
+    per example over all members decide (``ensemble._tiles``)."""
+    return (ad.MMAP_THRESHOLD - 1) // (members * 8 * 8 * 9 * SMALL_CNN.conv_filters[0] * 8)
+
+
+def _counting_bodies(monkeypatch):
+    calls = []
+    body = ensemble._body
+
+    def counted(state, x, *args):
+        calls.append(x.shape[0])
+        return body(state, x, *args)
+
+    monkeypatch.setattr(ensemble, "_body", counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", ["1", "5", "t-1", "t", "t+1", "512", "600"])
+@pytest.mark.parametrize("fusion", ["none", "module", "share"])
+@pytest.mark.parametrize("members", [2, 3])
+def test_tiled_evaluation_is_bit_identical_to_the_reference_and_a_recorded_forward(
+    members, fusion, size, monkeypatch
+):
+    # Every conv GEMM of a tile stays above OpenBLAS's small-matrix cutoff
+    # (1e6 multiply-adds), so the tiles give the bits of one GEMM per chunk;
+    # the head runs on the whole chunk, recorded or not.
+    t = _tile_examples(members)
+    n = {"1": 1, "5": 5, "t-1": t - 1, "t": t, "t+1": t + 1, "512": 512, "600": 600}[size]
+    state = _ensemble(SMALL_CNN, fusion, members)
+    x = _batch(SMALL_CNN, n)
+    bodies = _counting_bodies(monkeypatch)
+    tiled = member_probabilities(state, x)
+    chunks = [min(512, n - start) for start in range(0, n, 512)]
+    assert bodies == [
+        hi - lo for c in chunks for k in [-(-c // t)] for lo, hi in
+        ((c * i // k, c * (i + 1) // k) for i in range(k))
+    ]
+    assert np.array_equal(tiled, eval_reference.member_probabilities(state, x))
+    expected = np.concatenate([_recorded_probabilities(state, x[i : i + 512]) for i in range(0, n, 512)])
+    assert np.array_equal(tiled, expected)
+
+
+def test_mlp_evaluation_runs_as_one_tile(monkeypatch):
+    state = _ensemble(MLP, "module", 3)
+    bodies = _counting_bodies(monkeypatch)
+    monkeypatch.setattr(ad, "conv_workspace", None)  # not entered
+    out = member_probabilities(state, _batch(MLP, 600))
+    assert bodies == [512, 88]
+    assert out.shape == (600, 3, MLP.output_dim)
+
+
 @pytest.mark.parametrize("fusion", ["none", "module"])
-def test_member_probabilities_peak_memory_under_half_of_recorded_forward(fusion):
-    state = _ensemble(CNN, fusion)
-    x = _batch(CNN, 16)
-    free = _peak_bytes(lambda: member_probabilities(state, x))
-    recorded = _peak_bytes(lambda: _recorded_probabilities(state, x))
-    assert free < 0.5 * recorded
-
-
-def test_member_probabilities_without_fusion_holds_one_member_trunk_at_a_time():
-    # Nothing mixes features, so each member runs to its logits before the
-    # next starts: two more members cost less than one tap (8 MiB here).
-    x = _batch(CNN, 128)
-    tap_bytes = 128 * math.prod(CNN.tap_shape) * 8
-    one, three = (_ensemble(CNN, "none", members) for members in (1, 3))
-    growth = _peak_bytes(lambda: member_probabilities(three, x)) - _peak_bytes(
-        lambda: member_probabilities(one, x)
-    )
-    assert growth < tap_bytes
+@pytest.mark.parametrize("members", [2, 3])
+def test_member_probabilities_at_an_evaluation_chunk_holds_one_tile(members, fusion):
+    # At the benchmark's shapes, 512 examples: one tile's working set (its
+    # patch matrices, in one buffer below MMAP_THRESHOLD, and the rest) plus
+    # the pooled features of the whole chunk. Peaks of 19.4-21.8 MiB; member
+    # by member with 16 MiB blocks of patch rows they were 56-136 MiB.
+    state = _ensemble(CNN, fusion, members)
+    x = _batch(CNN, 512)
+    member_probabilities(state, x)  # warm
+    pooled = members * 512 * CNN.conv_filters[2] * 2 * 2 * 8
+    assert _peak_bytes(lambda: member_probabilities(state, x)) < pooled + 2.5 * ad.MMAP_THRESHOLD
 
 
 def test_member_probabilities_with_fusion_holds_no_features_of_every_member_past_the_mix():
-    # A fusion module needs every member's tap before any member continues.
-    # Untracked, its gate multiplies into the projection's buffer and its
-    # inject adds into the taps' buffer; each member's features are then
-    # max-pooled out and that buffer freed. So the peak (3 taps at M=2: the
-    # taps and the fused tensor) is less than one tap above a no-fusion pass;
-    # holding both members' features through the first member's trunk costs 2.
+    # A fusion module needs every member's tap before any member continues:
+    # in a tile, not in the chunk. Untracked, its gate multiplies into the
+    # projection's buffer and its inject adds into the taps' buffer, so a
+    # fusion pass peaks less than a quarter of one tile's tap above a
+    # no-fusion pass (0.08 of one example's tap, about 14 without the two
+    # in-place steps; holding the chunk's fused features, 2 taps of it).
     x = _batch(CNN, 128)
-    tap_bytes = 128 * math.prod(CNN.tap_shape) * 8
     plain, fused = (_ensemble(CNN, fusion) for fusion in ("none", "module"))
+    tile = -(-128 // ensemble._tiles(fused, ad.as_tensor(x)))
+    tap_bytes = tile * math.prod(CNN.tap_shape) * 8
     growth = _peak_bytes(lambda: member_probabilities(fused, x)) - _peak_bytes(
         lambda: member_probabilities(plain, x)
     )
-    assert growth < 1.5 * tap_bytes
+    assert growth < 0.25 * tap_bytes
+
+
+def test_member_probabilities_names_conv2d_on_an_overflow_in_a_later_tile():
+    # The chunk fails its deferred check and reruns with per-op checks.
+    state = _ensemble(CNN, "none")
+    x = _batch(CNN, 40)  # two tiles of 20
+    x[-1, 0, 0, 0] = 1e200  # the last example: in the second tile
+    state.layers["conv1.w"].data[:, :, 0, 1, 1] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="op 'conv2d'"):
+            member_probabilities(state, x)
+        x[-1, 0, 0, 0] = 1.0
+        assert np.isfinite(member_probabilities(state, x)).all()
 
 
 @pytest.mark.parametrize("arch,param,op", [(MLP, "dense2.w", "dense"), (CNN, "conv2.w", "conv2d")])

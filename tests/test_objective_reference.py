@@ -74,9 +74,9 @@ def test_member_axis_objective_matches_loop_form_bitwise(kind, m, k, weight, for
 
     new_logits = _params(logits)
     if form == "list":  # per-member log-softmaxes, stacked member-major
-        logp = ad.stack([ad.log_softmax(lg) for lg in new_logits])
+        logp = ref.stack([ad.log_softmax(lg) for lg in new_logits])
     else:
-        logp = ad.log_softmax(ad.stack(new_logits))
+        logp = ad.log_softmax(ref.stack(new_logits))
     terms, v = _new_terms(kind, logp, y, k, weight, w)
     assert terms.shape == (m,)
     ad.backward(terms.sum())

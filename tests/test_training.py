@@ -435,21 +435,46 @@ def test_one_mlp_step_makes_three_finite_checks_one_over_every_gradient(overlap_
 
 
 @pytest.mark.parametrize("fusion", ["none", "module"])
-def test_only_untracked_convs_and_the_fusion_tail_return_free_heap_pages(fusion, monkeypatch):
-    # The C-heap policy: neither train nor an evaluation pass trims the heap;
-    # an untracked conv2d does, once, and so does evaluation's fusion tail.
-    import sys
+def test_the_heap_policy_pins_the_mmap_threshold_and_evaluation_stays_below_it(fusion, monkeypatch):
+    # The C-heap policy: importing autodiff pins malloc's mmap threshold, so a
+    # block above it stays an mmap after a larger one is freed (glibc would
+    # otherwise raise its threshold and serve it from the brk heap); and an
+    # evaluation pass tiles a CNN chunk so that no patch matrix reaches it.
+    import ctypes
 
     from mclkit.ensemble import probability_chunks
-    from mclkit.evaluation import evaluate_ensemble
 
-    callers = []
-    monkeypatch.setattr(ad, "release_heap", lambda: callers.append(sys._getframe(1).f_code.co_name))
-    evaluate_ensemble(train(BLOBS, _mlp_cfg("amcl", epochs=2, t_tau=1))[0], BLOBS)
-    cfg = _mlp_cfg("amcl", epochs=1, t_tau=1, batch_size=8, conv_filters=(4, 6, 8), fusion=fusion)
-    state, _ = train(BARS, cfg)
-    assert callers == []
-    list(probability_chunks(state, BARS.features[:8]))
-    # Two members, three convs each; with the module, conv1 runs for both
-    # members at once and the 1x1 projection is a conv too.
-    assert sorted(callers) == ["conv2d"] * 6 + ["ensemble_forward"] * (fusion == "module")
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "mallinfo2"):
+        pytest.skip("glibc's mallinfo2 is needed to see mmapped bytes")
+
+    class Mallinfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+            "uordblks", "fordblks", "keepcost")]
+
+    libc.mallinfo2.restype = Mallinfo2
+    freed = np.ones(2 * ad.MMAP_THRESHOLD // 8)  # mmapped, then freed
+    del freed
+    before = libc.mallinfo2().hblkhd
+    block = np.ones(ad.MMAP_THRESHOLD // 8 + 1)
+    assert libc.mallinfo2().hblkhd - before >= block.nbytes
+
+    made = []
+    im2col = ad._im2col
+
+    def counted(*args):
+        cols = im2col(*args)
+        made.append(cols.nbytes)
+        return cols
+
+    monkeypatch.setattr(ad, "_im2col", counted)
+    arch = ArchitectureSpec(kind="simple_cnn", input_shape=(1, 16, 16), n_classes=2)
+    state = build_ensemble(method="amcl", arch=arch, members=2, overlap_k=1, t_tau=1, beta=0.75,
+                           gamma=0.75, p_share=0.5, fusion_mode=fusion, seed=0)
+    x = np.repeat(BARS.features, 512 // len(BARS.features) + 1, axis=0)[:512]
+    list(probability_chunks(state, x))
+    # conv2's patch matrix over the whole chunk would be 151 MB (M=2); its
+    # tiles' come to that in all, and the three convs' to 235 MB.
+    assert 0 < max(made) < ad.MMAP_THRESHOLD
+    assert sum(made) > 16 * ad.MMAP_THRESHOLD

@@ -2,12 +2,13 @@
 
     python3 tools/fixed_seed_diff.py --a ../parent --b .
 
-Each checkout's ``src/mclkit`` runs the same 16 configurations through
+Each checkout's ``src/mclkit`` runs the same 17 configurations through
 ``mclkit train`` and ``mclkit eval``: MLP M=3 ie/smcl/cmcl/amcl, smcl, cmcl
 and amcl with K=2, amcl with fusion module and share; CNN M=2 ie/smcl/cmcl/amcl,
-amcl with fusion module and share, and CNN M=3 amcl with K=2 (where a batched
-or side-by-side GEMM over the members would first block differently). Each
-runs with one BLAS thread. Every file the two checkouts write is compared
+amcl with fusion module and share, CNN M=3 amcl with K=2 (where a batched
+or side-by-side GEMM over the members would first block differently), and
+CNN M=3 amcl with fusion module, evaluated on a test set whose last chunk is
+smaller than one evaluation tile. Each runs with one BLAS thread. Every file the two checkouts write is compared
 byte for byte: ``train_log.csv``, ``purity_flow.csv``, ``summary.csv``,
 ``config.txt``, every checkpoint (the fusion runs also save one per epoch)
 and every file of ``mclkit eval`` (errors, confidence histograms, and for
@@ -38,6 +39,9 @@ MLP_OOD = "blobs:classes=4,per_class=16,dim=16,seed=5"
 CNN_DATA = "bars:classes=2,per_class=24,size=16,seed=3"
 CNN_TEST = "bars:classes=2,per_class=300,size=16,seed=4"
 CNN_OOD = "bars:classes=2,per_class=48,size=16,seed=5"
+# 524 examples: a full chunk and a last one of 12, below one evaluation tile
+# (18 examples at M=3), so a tile smaller than the rest is checked too.
+CNN_SHORT_TAIL_TEST = "bars:classes=2,per_class=262,size=16,seed=4"
 
 MLP = ["--arch", "mlp", "--hidden", "32,16", "--members", "3", "--epochs", "6", "--t-tau", "3",
        "--batch-size", "32", "--dataset", MLP_DATA]
@@ -59,6 +63,8 @@ CONFIGS = {
     "cnn-amcl-share": (CNN + ["--method", "amcl", "--fusion", "share"] + EVERY_EPOCH, CNN_TEST, CNN_OOD),
     "cnn-amcl-m3-k2": (CNN_ANY_M + ["--members", "3", "--method", "amcl", "--overlap", "2"],
                        CNN_TEST, CNN_OOD),
+    "cnn-amcl-m3-module": (CNN_ANY_M + ["--members", "3", "--method", "amcl", "--fusion", "module"],
+                           CNN_SHORT_TAIL_TEST, CNN_OOD),
 }
 
 

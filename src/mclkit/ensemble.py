@@ -11,7 +11,9 @@ from . import autodiff as ad
 from .errors import ConfigurationError, NumericError
 from .fusion import FusionModule, feature_share
 from .losses import AssignmentCounter, SpecializationMatrix
-from .models import ArchitectureSpec, MemberModel, features_from_tap, head, init_member, stack_layers, trunk_to_tap
+from .models import (
+    ArchitectureSpec, MemberModel, features_from_tap, head, init_member, patch_bytes, stack_layers, trunk_to_tap,
+)
 
 METHODS = ("ie", "smcl", "cmcl", "amcl")
 FUSION_MODES = ("none", "module", "share")
@@ -106,23 +108,23 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     during training), then the features from the tap (a CNN's pooled first)
     and the head. Under ``no_graph`` outside training, a CNN batch of more
     than one tile (``_tiles``) runs its body in near-equal tiles of batch
-    rows inside one ``autodiff.conv_workspace``, each tile's features
-    written into one [M, B, …] array, and the head once on the whole batch:
-    the head's GEMM is small enough that its bits can change with its rows,
-    a tile's convs are not.
+    rows, each tile's features written into one [M, B, …] array, and the
+    head once on the whole batch: the head's GEMM is small enough that its
+    bits can change with its rows, a tile's convs are not. The tiles share
+    the caller's ``autodiff.conv_workspace``, if any (``probability_chunks``
+    opens one for a whole evaluation pass).
     """
     x, arch, layer = ad.as_tensor(x), state.arch, state.layers.__getitem__
     tiles = 1 if ad.recording() or train_mode else _tiles(state, x)
     if tiles == 1:
         return head(arch, layer, _body(state, x, train_mode, share_rng))
     bsz = x.shape[0]
-    with ad.conv_workspace():
-        for i in range(tiles):
-            lo, hi = bsz * i // tiles, bsz * (i + 1) // tiles
-            part = _body(state, x.data[lo:hi], False, None).data
-            if not i:
-                feats = np.empty((part.shape[0], bsz, *part.shape[2:]))
-            feats[:, lo:hi] = part
+    for i in range(tiles):
+        lo, hi = bsz * i // tiles, bsz * (i + 1) // tiles
+        part = _body(state, x.data[lo:hi], False, None).data
+        if not i:
+            feats = np.empty((part.shape[0], bsz, *part.shape[2:]))
+        feats[:, lo:hi] = part
     return head(arch, layer, ad.as_tensor(feats))
 
 
@@ -141,17 +143,13 @@ def _body(state: EnsembleState, x, train_mode: bool, share_rng) -> ad.Tensor:
 
 def _tiles(state: EnsembleState, x: ad.Tensor) -> int:
     """Tiles of an untracked forward of the batch ``x``: each holds at most
-    the most examples whose conv patch matrices, over all members, stay below
-    ``autodiff.MMAP_THRESHOLD`` (conv2's decides at the workloads' shapes: 28
-    examples at M=2, 18 at M=3), so each tile reuses one heap buffer. An MLP
+    the most examples whose conv patch matrices (``models.patch_bytes``) stay
+    below ``autodiff.MMAP_THRESHOLD`` (conv2's decides at the workloads'
+    shapes: 28 examples at M=2, 18 at M=3), so no tile makes an mmap. An MLP
     makes no patch matrix: one tile, as is a batch ``trunk_to_tap`` rejects."""
-    arch = state.arch
-    if arch.kind != "simple_cnn" or x.ndim != 4:
+    per_example = patch_bytes(state.arch, state.layers.__getitem__)
+    if not per_example or x.ndim != 4:
         return 1
-    members = state.layers["conv1.w"].shape[0]
-    c, h, w = arch.input_shape
-    per_example = max((1 if i == 0 else members) * (h >> i) * (w >> i) * 9 * cin * 8
-                      for i, cin in enumerate((c, *arch.conv_filters[:2])))  # conv1's input is shared
     return max(1, -(-x.shape[0] // max(1, (ad.MMAP_THRESHOLD - 1) // per_example)))
 
 
@@ -197,17 +195,20 @@ def probability_chunks(state: EnsembleState, features, batch_size: int = EVAL_BA
     recorded, so activations are freed once consumed. A CNN chunk runs the
     training body over all members in tiles of batch rows, each tile's patch
     matrices below ``autodiff.MMAP_THRESHOLD``, and the head once (see
-    ``ensemble_forward``); an MLP chunk is one tile. Only the probabilities
-    are checked; a failing chunk reruns with per-op checks, to name the op.
+    ``ensemble_forward``); an MLP chunk is one tile. The whole pass runs in
+    one ``autodiff.conv_workspace``, so every tile of every chunk makes its
+    patch matrices in one buffer. Only the probabilities are checked; a
+    failing chunk reruns with per-op checks, to name the op.
     """
-    for start in range(0, features.shape[0], batch_size):
-        chunk = features[start : start + batch_size]
-        try:
-            probs = _chunk_probabilities(state, chunk, deferred=True)
-        except NumericError:
-            _chunk_probabilities(state, chunk, deferred=False)
-            raise
-        yield start, probs
+    with ad.conv_workspace():
+        for start in range(0, features.shape[0], batch_size):
+            chunk = features[start : start + batch_size]
+            try:
+                probs = _chunk_probabilities(state, chunk, deferred=True)
+            except NumericError:
+                _chunk_probabilities(state, chunk, deferred=False)
+                raise
+            yield start, probs
 
 
 def member_probabilities(state: EnsembleState, features, batch_size: int = EVAL_BATCH) -> np.ndarray:

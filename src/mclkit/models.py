@@ -171,10 +171,34 @@ def head(spec: ArchitectureSpec, param, h) -> ad.Tensor:
     return ad.dense(h, param("fc.w"), param("fc.b"))
 
 
+def patch_bytes(spec: ArchitectureSpec, param) -> int:
+    """Bytes per example of the CNN trunk's largest conv patch matrix over
+    the [M, …] layers ``param(name)`` gives: conv1's one matrix of the shared
+    input, or one per member for conv2's and conv3's member-major input. An
+    MLP makes none: 0."""
+    if spec.kind != "simple_cnn":
+        return 0
+    _, h, w = spec.input_shape
+    largest = 0
+    for i in (1, 2, 3):  # each conv reads the last one's pooled output
+        kernel = param(f"conv{i}.w").data  # [M, F, C, kh, kw]
+        members = 1 if i == 1 else kernel.shape[0]
+        largest = max(largest, members * h * w * math.prod(kernel.shape[-3:]) * kernel.itemsize)
+        h, w = h // 2, w // 2
+    return largest
+
+
 def _conv_relu(h, param, i: int) -> ad.Tensor:
-    w = param(f"conv{i}.w")
-    conv = ad.conv2d if w.ndim == 4 else ad.conv2d_members  # one op; see conv2d_members
-    return conv(h, w, param(f"conv{i}.b"), relu=True)
+    w, b = param(f"conv{i}.w"), param(f"conv{i}.b")
+    if w.ndim == 4:
+        return ad.conv2d(h, w, b, relu=True)
+    if h.ndim == 5 or ad.recording():
+        return ad.conv2d_members(h, w, b, relu=True)  # one op; see conv2d_members
+    # Untracked over a shared input, the members' filters side by side are one
+    # 2-D conv of M*F filters: the same GEMM, and a 4-D call the tracer counts.
+    m, f = w.shape[:2]
+    out = ad.conv2d(h, w.data.reshape(m * f, *w.shape[2:]), b.data.reshape(m * f), relu=True).data
+    return ad.as_tensor(out.reshape(out.shape[0], m, f, *out.shape[2:]).swapaxes(0, 1))
 
 
 class MemberModel:

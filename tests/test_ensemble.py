@@ -117,7 +117,6 @@ def test_tiled_evaluation_is_bit_identical_to_the_reference_and_a_recorded_forwa
 def test_mlp_evaluation_runs_as_one_tile(monkeypatch):
     state = _ensemble(MLP, "module", 3)
     bodies = _counting_bodies(monkeypatch)
-    monkeypatch.setattr(ad, "conv_workspace", None)  # not entered
     out = member_probabilities(state, _batch(MLP, 600))
     assert bodies == [512, 88]
     assert out.shape == (600, 3, MLP.output_dim)

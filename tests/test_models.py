@@ -5,7 +5,7 @@ import pytest
 import mclkit.autodiff as ad
 from mclkit.ensemble import build_ensemble
 from mclkit.errors import ConfigurationError
-from mclkit.models import ArchitectureSpec
+from mclkit.models import ArchitectureSpec, patch_bytes, trunk_to_tap
 
 RNG = np.random.default_rng(42)
 
@@ -163,3 +163,45 @@ def test_strip_and_renormalize_yields_distribution():
 def test_cnn_input_divisibility_checked():
     with pytest.raises(ConfigurationError):
         ArchitectureSpec(kind="simple_cnn", input_shape=(1, 12, 12), n_classes=2)
+
+
+def test_untracked_tap_is_one_2d_conv_of_every_members_filters(monkeypatch):
+    # Over the shared input, the members' filters side by side form one
+    # [M*F, C, kh, kw] kernel: the same GEMM as the member-axis call, so the
+    # same bits and the same strides, through the 4-D ``conv2d``.
+    state = build_ensemble(
+        method="amcl", arch=CNN_SPEC, members=3, overlap_k=1, t_tau=1, beta=0.75,
+        gamma=0.75, p_share=0.5, fusion_mode="none", seed=4,
+    )
+    x = RNG.uniform(size=(5, 1, 16, 16))
+    w, b = state.layers["conv1.w"], state.layers["conv1.b"]
+    recorded = ad.conv2d_members(x, w, b, relu=True).data
+    kernels = []
+    conv2d = ad.conv2d
+
+    def counted(x, w, *args, **kwargs):
+        kernels.append(ad.as_tensor(w).shape)
+        return conv2d(x, w, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "conv2d", counted)
+    with ad.no_graph():
+        tap = trunk_to_tap(CNN_SPEC, state.layers.__getitem__, x).data
+    assert kernels == [(3 * 32, 1, 3, 3)]
+    assert np.array_equal(tap, recorded)
+    assert tap.strides == recorded.strides
+
+
+def test_patch_bytes_is_the_largest_conv_patch_matrix_over_the_members():
+    spec = ArchitectureSpec(kind="simple_cnn", input_shape=(1, 16, 16), n_classes=2, conv_filters=(4, 8, 16))
+    for members, conv2 in ((1, 8 * 8 * 9 * 4 * 8), (2, 2 * 8 * 8 * 9 * 4 * 8)):
+        state = build_ensemble(
+            method="amcl", arch=spec, members=members, overlap_k=1, t_tau=1, beta=0.75,
+            gamma=0.75, p_share=0.5, fusion_mode="none", seed=4,
+        )
+        conv1 = 16 * 16 * 9 * 1 * 8  # the shared input's one matrix, whatever M
+        assert patch_bytes(spec, state.layers.__getitem__) == max(conv1, conv2)
+    mlp = build_ensemble(
+        method="amcl", arch=MLP_SPEC, members=2, overlap_k=1, t_tau=1, beta=0.75,
+        gamma=0.75, p_share=0.5, fusion_mode="none", seed=4,
+    )
+    assert patch_bytes(MLP_SPEC, mlp.layers.__getitem__) == 0

@@ -569,8 +569,7 @@ def conv2d(x, w, b=None, stride=1, padding="same", relu=False) -> Tensor:
 
 
 # ``conv2d`` under a name ``perfbench/tracer.py`` does not wrap: it reads 4-D
-# shapes from ``conv2d``'s arguments (ROADMAP item 1), so [M, …] kernels come
-# here, but for an untracked conv over a shared input (``models._conv_relu``).
+# shapes from ``conv2d``'s arguments (ROADMAP item 1; see ``models._conv_relu``).
 conv2d_members = conv2d
 
 

@@ -11,9 +11,8 @@ from . import autodiff as ad
 from .errors import ConfigurationError, NumericError
 from .fusion import FusionModule, feature_share
 from .losses import AssignmentCounter, SpecializationMatrix
-from .models import (
-    ArchitectureSpec, MemberModel, features_from_tap, head, init_member, patch_bytes, stack_layers, trunk_to_tap,
-)
+from .models import ArchitectureSpec, MemberModel, features_from_tap, head, init_member, stack_layers
+from .models import tile_examples, trunk_to_tap
 
 METHODS = ("ie", "smcl", "cmcl", "amcl")
 FUSION_MODES = ("none", "module", "share")
@@ -107,18 +106,17 @@ def ensemble_forward(state: EnsembleState, x, train_mode: bool = False, share_rn
     mixing stage (the fusion module, or feature sharing, which shuffles only
     during training), then the features from the tap (a CNN's pooled first)
     and the head. Under ``no_graph`` outside training, a CNN batch of more
-    than one tile (``_tiles``) runs its body in near-equal tiles of batch
-    rows, each tile's features written into one [M, B, …] array, and the
-    head once on the whole batch: the head's GEMM is small enough that its
-    bits can change with its rows, a tile's convs are not. The tiles share
-    the caller's ``autodiff.conv_workspace``, if any (``probability_chunks``
-    opens one for a whole evaluation pass).
+    than one tile (``models.tile_examples`` under ``autodiff.MMAP_THRESHOLD``:
+    28 examples at M=2, 18 at M=3 at the workloads' shapes) runs its body in
+    near-equal tiles of batch rows into one [M, B, …] array of features, and
+    the head once on the whole batch: the head's GEMM is small enough that
+    its bits can change with its rows, a tile's convs are not.
     """
     x, arch, layer = ad.as_tensor(x), state.arch, state.layers.__getitem__
-    tiles = 1 if ad.recording() or train_mode else _tiles(state, x)
-    if tiles == 1:
+    rows = 0 if ad.recording() or train_mode or x.ndim != 4 else tile_examples(arch, layer, ad.MMAP_THRESHOLD)
+    if not rows or x.shape[0] <= rows:
         return head(arch, layer, _body(state, x, train_mode, share_rng))
-    bsz = x.shape[0]
+    bsz, tiles = x.shape[0], -(-x.shape[0] // rows)
     for i in range(tiles):
         lo, hi = bsz * i // tiles, bsz * (i + 1) // tiles
         part = _body(state, x.data[lo:hi], False, None).data
@@ -139,18 +137,6 @@ def _body(state: EnsembleState, x, train_mode: bool, share_rng) -> ad.Tensor:
             raise ConfigurationError("feature sharing needs a seeded generator")
         feats = feature_share(feats, p_share=state.p_share, rng=share_rng)
     return features_from_tap(arch, layer, ad.maxpool2x2(feats) if arch.kind == "simple_cnn" else feats)
-
-
-def _tiles(state: EnsembleState, x: ad.Tensor) -> int:
-    """Tiles of an untracked forward of the batch ``x``: each holds at most
-    the most examples whose conv patch matrices (``models.patch_bytes``) stay
-    below ``autodiff.MMAP_THRESHOLD`` (conv2's decides at the workloads'
-    shapes: 28 examples at M=2, 18 at M=3), so no tile makes an mmap. An MLP
-    makes no patch matrix: one tile, as is a batch ``trunk_to_tap`` rejects."""
-    per_example = patch_bytes(state.arch, state.layers.__getitem__)
-    if not per_example or x.ndim != 4:
-        return 1
-    return max(1, -(-x.shape[0] // max(1, (ad.MMAP_THRESHOLD - 1) // per_example)))
 
 
 def _class_major_softmax(logits: np.ndarray) -> np.ndarray:
@@ -192,13 +178,10 @@ def probability_chunks(state: EnsembleState, features, batch_size: int = EVAL_BA
     ``start`` on, ``probs`` being the members' class-major softmax [W, M, B].
 
     Each chunk runs the ordinary forward under ``no_graph``: no graph is
-    recorded, so activations are freed once consumed. A CNN chunk runs the
-    training body over all members in tiles of batch rows, each tile's patch
-    matrices below ``autodiff.MMAP_THRESHOLD``, and the head once (see
-    ``ensemble_forward``); an MLP chunk is one tile. The whole pass runs in
-    one ``autodiff.conv_workspace``, so every tile of every chunk makes its
-    patch matrices in one buffer. Only the probabilities are checked; a
-    failing chunk reruns with per-op checks, to name the op.
+    recorded, so activations are freed once consumed. A CNN chunk runs in
+    tiles of batch rows (see ``ensemble_forward``), all of the pass in one
+    ``autodiff.conv_workspace``; an MLP chunk is one tile. Only the
+    probabilities are checked; a failing chunk reruns with per-op checks.
     """
     with ad.conv_workspace():
         for start in range(0, features.shape[0], batch_size):

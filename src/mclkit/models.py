@@ -171,34 +171,27 @@ def head(spec: ArchitectureSpec, param, h) -> ad.Tensor:
     return ad.dense(h, param("fc.w"), param("fc.b"))
 
 
-def patch_bytes(spec: ArchitectureSpec, param) -> int:
-    """Bytes per example of the CNN trunk's largest conv patch matrix over
-    the [M, …] layers ``param(name)`` gives: conv1's one matrix of the shared
-    input, or one per member for conv2's and conv3's member-major input. An
-    MLP makes none: 0."""
+def tile_examples(spec: ArchitectureSpec, param, limit: int) -> int:
+    """The most examples (at least 1) whose conv patch matrices over the [M, …]
+    layers ``param(name)`` gives stay below ``limit`` bytes: one for conv1's
+    shared input, one per member for conv2 and conv3; 0 for an MLP."""
     if spec.kind != "simple_cnn":
         return 0
     _, h, w = spec.input_shape
-    largest = 0
-    for i in (1, 2, 3):  # each conv reads the last one's pooled output
-        kernel = param(f"conv{i}.w").data  # [M, F, C, kh, kw]
-        members = 1 if i == 1 else kernel.shape[0]
-        largest = max(largest, members * h * w * math.prod(kernel.shape[-3:]) * kernel.itemsize)
-        h, w = h // 2, w // 2
-    return largest
+    return max(1, (limit - 1) // max(  # k: conv{i+1}'s [M, F, C, kh, kw] kernel, after i pools
+        (k.shape[0] if i else 1) * (h >> i) * (w >> i) * math.prod(k.shape[-3:]) * k.itemsize
+        for i, k in enumerate(param(f"conv{j}.w").data for j in (1, 2, 3))))
 
 
 def _conv_relu(h, param, i: int) -> ad.Tensor:
     w, b = param(f"conv{i}.w"), param(f"conv{i}.b")
-    if w.ndim == 4:
-        return ad.conv2d(h, w, b, relu=True)
-    if h.ndim == 5 or ad.recording():
-        return ad.conv2d_members(h, w, b, relu=True)  # one op; see conv2d_members
-    # Untracked over a shared input, the members' filters side by side are one
-    # 2-D conv of M*F filters: the same GEMM, and a 4-D call the tracer counts.
-    m, f = w.shape[:2]
-    out = ad.conv2d(h, w.data.reshape(m * f, *w.shape[2:]), b.data.reshape(m * f), relu=True).data
-    return ad.as_tensor(out.reshape(out.shape[0], m, f, *out.shape[2:]).swapaxes(0, 1))
+    if w.ndim == 5 and h.ndim == 4 and not ad.recording():
+        # One 2-D conv of the members' M*F filters side by side: the same GEMM, a call the tracer counts.
+        m, f = w.shape[:2]
+        out = ad.conv2d(h, w.data.reshape(m * f, *w.shape[2:]), b.data.reshape(m * f), relu=True).data
+        return ad.as_tensor(out.reshape(out.shape[0], m, f, *out.shape[2:]).swapaxes(0, 1))
+    conv = ad.conv2d if w.ndim == 4 else ad.conv2d_members  # one op; see conv2d_members
+    return conv(h, w, b, relu=True)
 
 
 class MemberModel:

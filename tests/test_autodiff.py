@@ -245,7 +245,7 @@ def _one_gemm_conv2d(x, w, b, relu):
 def _tile_examples(x_shape, k):
     """Examples per evaluation tile if this conv decided it: the most whose
     patch bytes (every member's, for a member-major input) stay below
-    ``MMAP_THRESHOLD``, as ``ensemble._tiles`` sizes them."""
+    ``MMAP_THRESHOLD``, as ``models.tile_examples`` sizes them."""
     members = x_shape[0] if len(x_shape) == 5 else 1
     cin, h, w = x_shape[-3:]
     return (ad.MMAP_THRESHOLD - 1) // (members * h * w * k * k * cin * 8)

@@ -10,7 +10,7 @@ import mclkit.ensemble as ensemble
 from mclkit.data import load_checkpoint, save_checkpoint
 from mclkit.ensemble import build_ensemble, ensemble_forward, member_probabilities
 from mclkit.errors import NumericError
-from mclkit.models import ArchitectureSpec
+from mclkit.models import ArchitectureSpec, tile_examples
 
 import eval_reference
 
@@ -73,7 +73,7 @@ def _peak_bytes(fn):
 
 def _tile_examples(members):
     """Examples per evaluation tile of ``SMALL_CNN``: conv2's patch bytes
-    per example over all members decide (``ensemble._tiles``)."""
+    per example over all members decide (``models.tile_examples``)."""
     return (ad.MMAP_THRESHOLD - 1) // (members * 8 * 8 * 9 * SMALL_CNN.conv_filters[0] * 8)
 
 
@@ -145,7 +145,8 @@ def test_member_probabilities_with_fusion_holds_no_features_of_every_member_past
     # in-place steps; holding the chunk's fused features, 2 taps of it).
     x = _batch(CNN, 128)
     plain, fused = (_ensemble(CNN, fusion) for fusion in ("none", "module"))
-    tile = -(-128 // ensemble._tiles(fused, ad.as_tensor(x)))
+    tiles = -(-128 // tile_examples(CNN, fused.layers.__getitem__, ad.MMAP_THRESHOLD))
+    tile = -(-128 // tiles)
     tap_bytes = tile * math.prod(CNN.tap_shape) * 8
     growth = _peak_bytes(lambda: member_probabilities(fused, x)) - _peak_bytes(
         lambda: member_probabilities(plain, x)

@@ -5,7 +5,7 @@ import pytest
 import mclkit.autodiff as ad
 from mclkit.ensemble import build_ensemble
 from mclkit.errors import ConfigurationError
-from mclkit.models import ArchitectureSpec, patch_bytes, trunk_to_tap
+from mclkit.models import ArchitectureSpec, tile_examples, trunk_to_tap
 
 RNG = np.random.default_rng(42)
 
@@ -191,17 +191,24 @@ def test_untracked_tap_is_one_2d_conv_of_every_members_filters(monkeypatch):
     assert tap.strides == recorded.strides
 
 
-def test_patch_bytes_is_the_largest_conv_patch_matrix_over_the_members():
-    spec = ArchitectureSpec(kind="simple_cnn", input_shape=(1, 16, 16), n_classes=2, conv_filters=(4, 8, 16))
-    for members, conv2 in ((1, 8 * 8 * 9 * 4 * 8), (2, 2 * 8 * 8 * 9 * 4 * 8)):
-        state = build_ensemble(
-            method="amcl", arch=spec, members=members, overlap_k=1, t_tau=1, beta=0.75,
-            gamma=0.75, p_share=0.5, fusion_mode="none", seed=4,
-        )
-        conv1 = 16 * 16 * 9 * 1 * 8  # the shared input's one matrix, whatever M
-        assert patch_bytes(spec, state.layers.__getitem__) == max(conv1, conv2)
-    mlp = build_ensemble(
+@pytest.mark.parametrize("input_shape,filters,members,examples", [
+    ((1, 16, 16), (32, 64, 128), 1, 56),  # conv2's patches decide: 147,456 bytes an example
+    ((1, 16, 16), (32, 64, 128), 2, 28),  # the workloads' shapes
+    ((1, 16, 16), (32, 64, 128), 3, 18),
+    ((3, 16, 16), (2, 2, 2), 3, 151),  # conv1's one matrix of the shared input decides, whatever M
+])
+def test_tile_examples_keeps_every_conv_patch_matrix_below_the_limit(input_shape, filters, members, examples):
+    spec = ArchitectureSpec(kind="simple_cnn", input_shape=input_shape, n_classes=2, conv_filters=filters)
+    state = build_ensemble(
+        method="amcl", arch=spec, members=members, overlap_k=1, t_tau=1, beta=0.75,
+        gamma=0.75, p_share=0.5, fusion_mode="none", seed=4,
+    )
+    assert tile_examples(spec, state.layers.__getitem__, ad.MMAP_THRESHOLD) == examples
+
+
+def test_tile_examples_of_an_mlp_is_zero():
+    state = build_ensemble(
         method="amcl", arch=MLP_SPEC, members=2, overlap_k=1, t_tau=1, beta=0.75,
         gamma=0.75, p_share=0.5, fusion_mode="none", seed=4,
     )
-    assert patch_bytes(MLP_SPEC, mlp.layers.__getitem__) == 0
+    assert tile_examples(MLP_SPEC, state.layers.__getitem__, ad.MMAP_THRESHOLD) == 0
